@@ -14,19 +14,17 @@ from .data import (
     write_gt_pos_csv,
     write_imu_csv,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .losses import metric_rmse
-from .model import build_model, load_checkpoint, save_checkpoint, train_model
+from .model import load_checkpoint, save_checkpoint
 from .runner import (
     BenchReport,
     ExperimentConfig,
-    dropout_rng,
     emit_outputs,
+    fit_model,
     load_suite_config,
-    model_init_rng,
     prepare_run,
     run_suite,
-    shuffle_rng,
 )
 
 
@@ -60,38 +58,35 @@ def _cmd_bench(args):
     return 2 if any(r.failed for r in reports) else 0
 
 
-def _cmd_train(args):
+def _experiment(args) -> ExperimentConfig:
+    """The suite's experiment for ``--technique``."""
     suite = load_suite_config(args.config)
     technique = next((t for t in suite.techniques if t.name == args.technique),
                      None)
     if technique is None:
-        print(f"technique '{args.technique}' not found in config", file=sys.stderr)
-        return 1
-    exp = ExperimentConfig(dataset=suite.dataset, model=suite.model,
-                           train=suite.train, technique=technique,
-                           train_fraction=suite.train_fraction)
+        raise UsageError(f"technique '{args.technique}' not found in config")
+    return ExperimentConfig(dataset=suite.dataset, model=suite.model,
+                            train=suite.train, technique=technique,
+                            train_fraction=suite.train_fraction)
+
+
+def _cmd_train(args):
+    exp = _experiment(args)
     train_ds, _, model_config = prepare_run(exp, args.seed)
-    model = build_model(model_config, model_init_rng(args.seed))
-    curve = train_model(model, suite.train, train_ds.windows, train_ds.labels,
-                        shuffle_rng=shuffle_rng(args.seed),
-                        dropout_rng=dropout_rng(args.seed))
+    model, curve = fit_model(exp, train_ds, model_config, args.seed)
     save_checkpoint(args.out, model)
     print(f"final training loss {curve[-1]:.6g}; checkpoint saved to {args.out}")
     return 0
 
 
 def _cmd_eval(args):
-    suite = load_suite_config(args.config)
-    technique = next((t for t in suite.techniques if t.name == args.technique),
-                     None)
-    if technique is None:
-        print(f"technique '{args.technique}' not found in config", file=sys.stderr)
-        return 1
-    exp = ExperimentConfig(dataset=suite.dataset, model=suite.model,
-                           train=suite.train, technique=technique,
-                           train_fraction=suite.train_fraction)
-    _, test_ds, _ = prepare_run(exp, args.seed)
+    exp = _experiment(args)
     model = load_checkpoint(args.checkpoint)
+    label_dim = exp.dataset.descriptor.label_dim
+    if model.config.output_dim != label_dim:
+        raise UsageError(f"checkpoint predicts {model.config.output_dim} value(s) per "
+                         f"window, but the dataset's labels have {label_dim}")
+    _, test_ds, _ = prepare_run(exp, args.seed)
     rmse = metric_rmse(test_ds.labels, model.predict(test_ds.windows))
     print(f"test RMSE {rmse:.6g}")
     return 0
@@ -177,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

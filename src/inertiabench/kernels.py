@@ -12,18 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError, UsageError
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,12 @@ def _init_uniform(rng, shape, fan_in):
 
 
 class Conv1d(Layer):
-    """1D convolution over (batch, channels, steps), valid padding."""
+    """1D convolution over (batch, channels, steps), valid padding.
+
+    The forward pass is im2col + GEMM; the backward pass is one batched GEMM
+    per kernel tap ``i`` against the strided view ``x[:, :, i::stride]``.
+    Only the input is cached: no K-fold copy of it outlives a call.
+    """
 
     def __init__(self, spec: ConvSpec, rng: np.random.Generator | None = None):
         super().__init__()
@@ -171,6 +166,11 @@ class Conv1d(Layer):
         self.params["b"] = np.zeros(spec.filters)
         self._cache = None
 
+    def _taps(self, x, t_out):
+        """Per-tap strided views ``x[:, :, i::stride]`` of ``t_out`` steps each."""
+        s = self.spec.stride
+        return [x[:, :, i : i + s * (t_out - 1) + 1 : s] for i in range(self.spec.kernel)]
+
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.spec.in_channels:
             raise ShapeError(
@@ -178,26 +178,37 @@ class Conv1d(Layer):
             )
         if not np.all(np.isfinite(x)):
             raise NumericError("conv input contains non-finite values")
-        self.spec.out_steps(x.shape[2])
-        s, k = self.spec.stride, self.spec.kernel
-        xs = sliding_window_view(x, k, axis=2)[:, :, ::s, :]
-        out = np.einsum("fci,bcti->bft", self.params["w"], xs)
+        t_out = self.spec.out_steps(x.shape[2])
+        b, c, _ = x.shape
+        f, k = self.spec.filters, self.spec.kernel
+        w = self.params["w"].reshape(f, c * k)
+        out = np.empty((b, f, t_out))
+        # im2col + GEMM over batch chunks, reusing one column buffer that is
+        # no larger than the output and is freed when the call returns
+        rows = min(b, max(1, b * f // (c * k)))
+        cols = np.empty((rows, c, k, t_out))
+        for lo in range(0, b, rows):
+            xb, cb = x[lo : lo + rows], cols[: b - lo]
+            for i, xi in enumerate(self._taps(xb, t_out)):
+                cb[:, :, i] = xi
+            np.matmul(w, cb.reshape(len(xb), c * k, t_out), out=out[lo : lo + rows])
         out += self.params["b"][None, :, None]
-        self._cache = (x.shape, xs)
+        self._cache = x
         return out
 
     def backward(self, gout):
         if self._cache is None:
             raise UsageError("backward called before forward")
-        in_shape, xs = self._cache
-        s, k = self.spec.stride, self.spec.kernel
+        x = self._cache
         t_out = gout.shape[2]
-        self._accum("w", np.einsum("bft,bcti->fci", gout, xs))
-        self._accum("b", gout.sum(axis=(0, 2)))
-        gx = np.zeros(in_shape)
         w = self.params["w"]
-        for i in range(k):
-            gx[:, :, i : i + t_out * s : s] += np.einsum("bft,fc->bct", gout, w[:, :, i])
+        gw = np.empty_like(w)
+        gx = np.zeros(x.shape)
+        for i, (xi, gxi) in enumerate(zip(self._taps(x, t_out), self._taps(gx, t_out))):
+            gw[:, :, i] = np.matmul(gout, xi.transpose(0, 2, 1)).sum(axis=0)
+            gxi += w[:, :, i].T @ gout
+        self._accum("w", gw)
+        self._accum("b", gout.sum(axis=(0, 2)))
         return gx
 
 
@@ -257,6 +268,11 @@ class BiLSTM(Layer):
 
     Output is (batch, 2*hidden, steps): forward-direction hidden states
     stacked on top of backward-direction ones for every time step.
+
+    Both directions run in one loop on stacked ``(2, batch, ...)`` arrays,
+    each direction reading the sequence in its own order.  ``backward``
+    reuses the cached gate buffer for the gate gradients, so every
+    ``backward`` needs its own ``forward``.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -283,90 +299,131 @@ class BiLSTM(Layer):
             layer.params[name] = np.array(getattr(p, name), dtype=float)
         return layer
 
-    def _run(self, x, direction: str):
-        b, _, t = x.shape
-        h = self.hidden_size
-        wx = self.params[f"{direction}_wx"]
-        wh = self.params[f"{direction}_wh"]
-        bias = self.params[f"{direction}_b"]
-        order = range(t) if direction == "fwd" else range(t - 1, -1, -1)
-        hs = np.zeros((t, b, h))
-        cache = []
-        h_prev = np.zeros((b, h))
-        c_prev = np.zeros((b, h))
-        for step in order:
-            xt = x[:, :, step]
-            z = xt @ wx.T + h_prev @ wh.T + bias
-            gi = _sigmoid(z[:, :h])
-            gf = _sigmoid(z[:, h : 2 * h])
-            gg = np.tanh(z[:, 2 * h : 3 * h])
-            go = _sigmoid(z[:, 3 * h :])
-            c = gf * c_prev + gi * gg
-            tc = np.tanh(c)
-            ht = go * tc
-            hs[step] = ht
-            cache.append((step, xt, h_prev, c_prev, gi, gf, gg, go, tc))
-            h_prev, c_prev = ht, c
-        return hs, cache
-
-    def _run_back(self, ghs, cache, direction: str):
-        h = self.hidden_size
-        wx = self.params[f"{direction}_wx"]
-        wh = self.params[f"{direction}_wh"]
-        gwx = np.zeros_like(wx)
-        gwh = np.zeros_like(wh)
-        gb = np.zeros_like(self.params[f"{direction}_b"])
-        b = ghs.shape[1]
-        gx = np.zeros((b, self.input_size, ghs.shape[0]))
-        dh_next = np.zeros((b, h))
-        dc_next = np.zeros((b, h))
-        for step, xt, h_prev, c_prev, gi, gf, gg, go, tc in reversed(cache):
-            dh = ghs[step] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * go * (1.0 - tc * tc)
-            di = dc * gg
-            dg = dc * gi
-            df = dc * c_prev
-            dc_next = dc * gf
-            dz = np.concatenate(
-                [
-                    di * gi * (1.0 - gi),
-                    df * gf * (1.0 - gf),
-                    dg * (1.0 - gg * gg),
-                    do * go * (1.0 - go),
-                ],
-                axis=1,
-            )
-            gwx += dz.T @ xt
-            gwh += dz.T @ h_prev
-            gb += dz.sum(axis=0)
-            gx[:, :, step] = dz @ wx
-            dh_next = dz @ wh
-        self._accum(f"{direction}_wx", gwx)
-        self._accum(f"{direction}_wh", gwh)
-        self._accum(f"{direction}_b", gb)
-        return gx
+    def _packed(self):
+        """``(2, 4H, 1 + C + H)``: ``[b, wx, wh]`` of the fwd and bwd directions."""
+        return np.stack([
+            np.concatenate([self.params[f"{d}_b"][:, None], self.params[f"{d}_wx"],
+                            self.params[f"{d}_wh"]], axis=1)
+            for d in ("fwd", "bwd")
+        ])
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.input_size:
             raise ShapeError(f"expected (B, {self.input_size}, T) input, got {x.shape}")
-        hs_f, cache_f = self._run(x, "fwd")
-        hs_b, cache_b = self._run(x, "bwd")
-        self._cache = (cache_f, cache_b)
-        # (T, B, H) -> (B, H, T), stacked fwd over bwd
-        out = np.concatenate([hs_f.transpose(1, 2, 0), hs_b.transpose(1, 2, 0)], axis=1)
+        self._cache = None  # free the previous step's cache before building this one
+        b, c, t = x.shape
+        h = self.hidden_size
+        # Per direction, in the order that direction reads the sequence, slot
+        # k holds step k's GEMM operand [1, x_k, h_(k-1)]; the leading 1
+        # folds the bias into the GEMMs.  h_k is written to slot k + 1, so
+        # slot 0 holds h_(-1) = 0 and the last slot only the final state.
+        xh = np.zeros((2, t + 1, b, 1 + c + h))
+        xh[:, :t, :, 0] = 1.0
+        xh[0, :t, :, 1 : 1 + c] = x.transpose(2, 0, 1)
+        xh[1, :t, :, 1 : 1 + c] = xh[0, t - 1 :: -1, :, 1 : 1 + c]
+        hs = xh[:, 1:, :, 1 + c :]
+        # sigmoid(a) = (1 + tanh(a / 2)) / 2: halving the i, f and o rows of
+        # the weights (exact in floating point) lets one tanh per step
+        # activate all four gates
+        half = np.full((4 * h, 1), 0.5)
+        half[2 * h : 3 * h] = 1.0
+        w = self._packed()
+        w *= half
+        # the input projections of all steps in one GEMM per direction; the
+        # recurrence adds h @ wh.T and activates in place, so ``gates`` ends
+        # up holding every step's i, f, g, o activations
+        gates = np.matmul(xh[:, :t, :, : 1 + c].reshape(2, t * b, 1 + c),
+                          w[:, :, : 1 + c].transpose(0, 2, 1)).reshape(2, t, b, 4 * h)
+        wh_t = w[:, :, 1 + c :].transpose(0, 2, 1)
+        cs = np.empty((2, t, b, h))
+        tmp = np.empty((2, b, 4 * h))
+        for k in range(t):
+            z = gates[:, k]
+            if k:
+                z += np.matmul(hs[:, k - 1], wh_t, out=tmp)
+            i, f, g, o = (z[..., j * h : (j + 1) * h] for j in range(4))
+            np.tanh(z, out=z)
+            for s in (z[..., : 2 * h], o):
+                s += 1.0
+                s *= 0.5
+            c_k, h_k = cs[:, k], hs[:, k]
+            np.multiply(i, g, out=c_k)
+            if k:
+                c_k += np.multiply(f, cs[:, k - 1], out=tmp[..., :h])
+            np.tanh(c_k, out=h_k)
+            h_k *= o
+        self._cache = (xh, gates, cs)
+        # (T, B, H) -> (B, H, T), stacked fwd over bwd in natural time order
+        out = np.empty((b, 2 * h, t))
+        out[:, :h] = hs[0].transpose(1, 2, 0)
+        out[:, h:] = hs[1, ::-1].transpose(1, 2, 0)
         return out
 
     def backward(self, gout):
         if self._cache is None:
             raise UsageError("backward called before forward")
-        cache_f, cache_b = self._cache
-        h = self.hidden_size
-        ghs_f = gout[:, :h, :].transpose(2, 0, 1)
-        ghs_b = gout[:, h:, :].transpose(2, 0, 1)
-        gx = self._run_back(ghs_f, cache_f, "fwd")
-        gx += self._run_back(ghs_b, cache_b, "bwd")
-        return gx
+        xh, gates, cs = self._cache
+        # each step's gate activations are overwritten in place with d loss /
+        # d gate pre-activation, so this call uses the cache up
+        self._cache = None
+        _, t, b, _ = gates.shape
+        h, c = self.hidden_size, self.input_size
+        wh = np.stack([self.params["fwd_wh"], self.params["bwd_wh"]])
+        dh, dc, tc, u, v = (np.empty((2, b, h)) for _ in range(5))
+        dc[...] = 0.0
+        for k in range(t - 1, -1, -1):
+            z = gates[:, k]
+            i, f, g, o = (z[..., j * h : (j + 1) * h] for j in range(4))
+            # both directions' hidden-state gradients at their k-th step
+            if k < t - 1:
+                np.matmul(gates[:, k + 1], wh, out=dh)
+            else:
+                dh[...] = 0.0
+            dh[0] += gout[:, :h, k]
+            dh[1] += gout[:, h:, t - 1 - k]
+            np.tanh(cs[:, k], out=tc)
+            # cell state: dc += dh * o * (1 - tanh(c)^2)
+            np.multiply(dh, o, out=u)
+            np.multiply(tc, tc, out=v)
+            np.subtract(1.0, v, out=v)
+            v *= u
+            dc += v
+            # output gate: dh * o * (1 - o) * tanh(c)
+            np.subtract(1.0, o, out=o)
+            o *= u
+            o *= tc
+            # input gate dc * i * (1 - i) * g, candidate dc * i * (1 - g^2)
+            np.multiply(dc, i, out=u)
+            np.subtract(1.0, i, out=i)
+            i *= g
+            i *= u
+            g *= g
+            np.subtract(1.0, g, out=g)
+            g *= u
+            # forget gate dc * f * (1 - f) * c_prev (c_prev is 0 at the first
+            # step); dc * f carries the cell gradient to the previous step
+            np.multiply(dc, f, out=v)
+            if k:
+                np.subtract(1.0, f, out=f)
+                f *= v
+                f *= cs[:, k - 1]
+            else:
+                f[...] = 0.0
+            dc, v = v, dc
+        # bias and weight gradients of all steps: one batched GEMM
+        dz = gates.reshape(2, t * b, 4 * h)
+        gw = np.matmul(dz.transpose(0, 2, 1), xh[:, :t].reshape(2, t * b, 1 + c + h))
+        del xh, cs  # release the rest of the cache before the input gradient
+        for d, direction in enumerate(("fwd", "bwd")):
+            self._accum(f"{direction}_b", gw[d, :, 0])
+            self._accum(f"{direction}_wx", gw[d, :, 1 : 1 + c])
+            self._accum(f"{direction}_wh", gw[d, :, 1 + c :])
+        del gw
+        # input gradient: one GEMM per direction, summed in natural time order
+        gx = np.matmul(dz[0], self.params["fwd_wx"]).reshape(t, b, c)
+        gx += np.matmul(dz[1], self.params["bwd_wx"]).reshape(t, b, c)[::-1]
+        del gates, dz
+        return np.ascontiguousarray(gx.transpose(1, 2, 0))
 
 
 class Dropout(Layer):

@@ -215,6 +215,11 @@ def save_checkpoint(path, model: InertialRegressor):
 
 
 def load_checkpoint(path) -> InertialRegressor:
+    """Rebuild a saved model; the archive must hold exactly its parameters.
+
+    A missing, unexpected or differently shaped parameter raises UsageError
+    rather than leaving an initial value in place or broadcasting.
+    """
     with np.load(path) as archive:
         meta = json.loads(archive["__meta__"].tobytes().decode())
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -222,11 +227,16 @@ def load_checkpoint(path) -> InertialRegressor:
         config = ModelConfig(**meta["config"])
         model = InertialRegressor(config, np.random.default_rng(0))
         params = model.parameters()
-        for key in archive.files:
-            if not key.startswith("param/"):
-                continue
-            name = key[len("param/"):]
-            if name not in params:
-                raise UsageError(f"unexpected parameter '{name}' in checkpoint")
-            params[name][...] = archive[key]
+        stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}
+        if stored != set(params):
+            missing = sorted(set(params) - stored)
+            unexpected = sorted(stored - set(params))
+            raise UsageError(f"checkpoint parameters do not match the model: "
+                             f"missing {missing}, unexpected {unexpected}")
+        for name, param in params.items():
+            value = archive[f"param/{name}"]
+            if value.shape != param.shape:
+                raise UsageError(f"checkpoint parameter '{name}' has shape {value.shape}, "
+                                 f"expected {param.shape}")
+            param[...] = value
     return model

@@ -332,20 +332,27 @@ def prepare_run(exp: ExperimentConfig, seed: int):
     return train_ds, test_ds, model_config
 
 
+def fit_model(exp: ExperimentConfig, train_ds: WindowedDataset,
+              model_config: ModelConfig, seed: int):
+    """Build the seeded model and train it; returns (model, loss curve).
+
+    A ``loss`` technique replaces the suite's training loss with its own.
+    """
+    tc = exp.train
+    if exp.technique.kind == "loss":
+        tc = replace(tc, loss=exp.technique.loss)
+    model = build_model(model_config, model_init_rng(seed))
+    curve = train_model(model, tc, train_ds.windows, train_ds.labels,
+                        shuffle_rng=shuffle_rng(seed), dropout_rng=dropout_rng(seed))
+    return model, curve
+
+
 def run_experiment(exp: ExperimentConfig, seed: int) -> float:
     """One seeded run; returns the test-split RMSE."""
     train_ds, test_ds, model_config = prepare_run(exp, seed)
 
-    tc = exp.train
-    if exp.technique.kind == "loss":
-        tc = replace(tc, loss=exp.technique.loss)
-
     try:
-        model = build_model(model_config, model_init_rng(seed))
-        train_model(model, tc, train_ds.windows, train_ds.labels,
-                    shuffle_rng=shuffle_rng(seed), dropout_rng=dropout_rng(seed))
-    except StageError:
-        raise
+        model, _ = fit_model(exp, train_ds, model_config, seed)
     except Exception as exc:
         raise StageError("train", exc) from exc
 
@@ -361,12 +368,28 @@ def _run_job(args):
     return run_experiment(exp, seed)
 
 
+def worker_count(n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` jobs, from INERTIA_BENCH_WORKERS.
+
+    The variable defaults to 1 and must be an integer >= 1; the result is
+    clamped to the CPU count and to the number of jobs.
+    """
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if requested < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {requested}")
+    return min(requested, os.cpu_count() or 1, n_jobs)
+
+
 def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     """Run every technique ``repetitions`` times with paired seeds.
 
     Runs that fail numerically are excluded from aggregation with a warning;
     a technique with no surviving run is marked failed.  Worker count comes
-    from the INERTIA_BENCH_WORKERS environment variable (default 1).
+    from ``worker_count``; reports are identical for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
     jobs = []
@@ -377,7 +400,7 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
         for seed in seeds:
             jobs.append((exp, seed))
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = worker_count(len(jobs))
     started = time.monotonic()
     results: list[float | StageError] = []
     if workers > 1:

@@ -1,8 +1,21 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from inertiabench.cli import main
+from inertiabench.losses import LossSpec
+from inertiabench.model import build_model, load_checkpoint, save_checkpoint, train_model
+from inertiabench.runner import (
+    WORKERS_ENV,
+    ExperimentConfig,
+    dropout_rng,
+    load_suite_config,
+    model_init_rng,
+    prepare_run,
+    shuffle_rng,
+)
 
 TINY_CONFIG = {
     "dataset": {
@@ -68,6 +81,16 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "baseline" in stdout and "head2" in stdout
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_invalid_worker_count_is_one_line_error(self, raw, tmp_path, config_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        code = main(["bench", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {WORKERS_ENV}") and err.count("\n") == 1
+
     def test_formats_filter(self, tmp_path, config_path):
         out = tmp_path / "results"
         main(["bench", "--config", str(config_path), "--out-dir", str(out),
@@ -110,6 +133,48 @@ class TestTrainEval:
                      "--technique", "loss-huber",
                      "--out", str(tmp_path / "m.npz")])
         assert code == 1
+
+    def test_loss_technique_trains_with_its_loss(self, tmp_path):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["techniques"].append({"kind": "loss", "loss": "huber", "delta": 0.05})
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(doc))
+        ckpt = tmp_path / "huber.npz"
+        assert main(["train", "--config", str(path), "--technique", "loss-huber",
+                     "--seed", "2", "--out", str(ckpt)]) == 0
+        got = load_checkpoint(ckpt).parameters()
+
+        suite = load_suite_config(path)
+        exp = ExperimentConfig(dataset=suite.dataset, model=suite.model,
+                               train=suite.train, technique=suite.techniques[-1])
+        train_ds, _, model_config = prepare_run(exp, 2)
+
+        def trained(loss):
+            model = build_model(model_config, model_init_rng(2))
+            train_model(model, replace(suite.train, loss=loss), train_ds.windows,
+                        train_ds.labels, shuffle_rng=shuffle_rng(2),
+                        dropout_rng=dropout_rng(2))
+            return model.parameters()
+
+        huber = trained(LossSpec("huber", 0.05))
+        mse = trained(LossSpec("mse"))
+        assert sorted(got) == sorted(huber)
+        for name in huber:
+            np.testing.assert_array_equal(got[name], huber[name], err_msg=name)
+        assert any(not np.array_equal(huber[n], mse[n]) for n in huber)
+
+    def test_eval_rejects_wrong_output_dim(self, tmp_path, config_path, capsys):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["dataset"]["descriptor"]["target_kind"] = "position_xy"  # 2 labels
+        path = tmp_path / "xy.json"
+        path.write_text(json.dumps(doc))
+        suite = load_suite_config(config_path)
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(ckpt, build_model(suite.model, model_init_rng(0)))  # 1 output
+        code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestReport:

@@ -154,3 +154,29 @@ class TestCheckpoint:
             np.testing.assert_array_equal(v, loaded.parameters()[k])
         x = np.random.default_rng(21).normal(size=(2, 6, 20))
         np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
+
+    def _rewrite(self, tmp_path, edit):
+        """Save a model, let ``edit`` change its parameter arrays, save again."""
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(SMALL, rng(22)))
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        return path
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda a: a.pop("param/head.b"))
+        with pytest.raises(UsageError, match="head.b"):
+            load_checkpoint(path)
+
+    def test_unexpected_parameter_rejected(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda a: a.update({"param/extra.w": np.zeros(2)}))
+        with pytest.raises(UsageError, match="extra.w"):
+            load_checkpoint(path)
+
+    def test_broadcastable_shape_rejected(self, tmp_path):
+        # a (1,) array would broadcast into every element of fc.b
+        path = self._rewrite(tmp_path, lambda a: a.update({"param/fc.b": np.ones(1)}))
+        with pytest.raises(UsageError, match="fc.b"):
+            load_checkpoint(path)

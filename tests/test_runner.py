@@ -10,6 +10,7 @@ from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
 from inertiabench.preprocessing import DenoiseStep, DetrendStep, NormalizeStep, PreprocSpec
 from inertiabench.runner import (
+    WORKERS_ENV,
     DatasetSpec,
     ExperimentConfig,
     SuiteConfig,
@@ -22,6 +23,7 @@ from inertiabench.runner import (
     report_to_json,
     run_experiment,
     run_suite,
+    worker_count,
 )
 
 TINY_MODEL = ModelConfig(conv_filters=4, kernel_size=3, pool_depth=2,
@@ -138,6 +140,36 @@ class TestRunSuite:
     def test_json_deterministic(self, suite, reports):
         again = run_suite(suite)
         assert report_to_json(reports, suite) == report_to_json(again, suite)
+
+    def test_json_identical_for_one_and_two_workers(self, suite, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        docs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            assert worker_count(4) == int(workers)
+            docs.append(report_to_json(run_suite(suite), suite))
+        assert docs[0] == docs[1]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-3"])
+    def test_invalid_values_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ConfigError, match=WORKERS_ENV):
+            worker_count(10)
+
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert worker_count(10) == 1
+
+    def test_clamped_to_cpus_and_jobs(self, monkeypatch):
+        # only the parser runs here: no worker process is started
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv(WORKERS_ENV, str(10**12))
+        assert worker_count(100) == 4
+        assert worker_count(3) == 3
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert worker_count(100) == 2
 
 
 class TestEmitOutputs:
