@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .data import (
     SynthParams,
@@ -14,7 +15,7 @@ from .data import (
     write_gt_pos_csv,
     write_imu_csv,
 )
-from .errors import ConfigError, UsageError
+from .errors import InertiaBenchError, ParseError, UsageError
 from .losses import metric_rmse
 from .model import load_checkpoint, save_checkpoint
 from .runner import (
@@ -29,9 +30,7 @@ from .runner import (
 
 
 def _cmd_synth(args):
-    params = SynthParams(speed=args.speed, heading=args.heading, radius=args.radius,
-                         omega=args.omega, amplitude=args.amplitude,
-                         frequency=args.frequency)
+    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
     series, gt = synthesize_dataset(args.kind, duration=args.duration, rate=args.rate,
                                     gt_rate=args.gt_rate, params=params,
                                     noise_acc=args.noise_acc,
@@ -47,13 +46,12 @@ def _cmd_synth(args):
 def _cmd_bench(args):
     suite = load_suite_config(args.config)
     reports = run_suite(suite)
-    paths = emit_outputs(reports, suite, args.out_dir,
-                         formats=tuple(args.formats.split(",")))
+    paths = emit_outputs(reports, suite, args.out_dir, tuple(args.formats.split(",")))
     for r in reports:
         status = "FAILED" if r.failed else f"mean RMSE {r.mean:.6g}"
         imp = "" if r.improvement_pct is None else f"  improvement {r.improvement_pct:+.2f}%"
         print(f"{r.name:32s} {status}{imp}")
-    for fmt, path in paths.items():
+    for path in paths.values():
         print(f"wrote {path}")
     return 2 if any(r.failed for r in reports) else 0
 
@@ -65,9 +63,7 @@ def _experiment(args) -> ExperimentConfig:
                      None)
     if technique is None:
         raise UsageError(f"technique '{args.technique}' not found in config")
-    return ExperimentConfig(dataset=suite.dataset, model=suite.model,
-                            train=suite.train, technique=technique,
-                            train_fraction=suite.train_fraction)
+    return suite.experiment(technique)
 
 
 def _cmd_train(args):
@@ -93,28 +89,15 @@ def _cmd_eval(args):
 
 
 def _cmd_report(args):
-    with open(args.report) as fh:
-        doc = json.load(fh)
-    reports = [
-        BenchReport(name=t["name"], spec=t["spec"], rmse_runs=t["rmse_runs"],
-                    seeds=[], failed_runs=t["failed_runs"], mean=t["mean"],
-                    std=t["std"], improvement_pct=t["improvement_pct"],
-                    wall_clock=0.0)
-        for t in doc["techniques"]
-    ]
-    from .runner import render_improvement_svg, report_to_csv
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    formats = args.formats.split(",")
-    if "csv" in formats:
-        path = os.path.join(args.out_dir, "report.csv")
-        with open(path, "w") as fh:
-            fh.write(report_to_csv(reports))
-        print(f"wrote {path}")
-    if "svg" in formats:
-        path = os.path.join(args.out_dir, "improvement.svg")
-        with open(path, "w") as fh:
-            fh.write(render_improvement_svg(reports))
+    formats = tuple(args.formats.split(","))
+    if "json" in formats:
+        raise UsageError("report re-renders csv and svg only")
+    try:
+        with open(args.report) as fh:
+            reports = [BenchReport(**t) for t in json.load(fh)["techniques"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"invalid report {args.report}: {exc!r}") from exc
+    for path in emit_outputs(reports, None, args.out_dir, formats).values():
         print(f"wrote {path}")
     return 0
 
@@ -128,12 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--rate", type=float, default=120.0)
     p.add_argument("--gt-rate", type=float, default=None)
-    p.add_argument("--speed", type=float, default=1.0)
-    p.add_argument("--heading", type=float, default=0.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--frequency", type=float, default=0.5)
+    for f in fields(SynthParams):
+        p.add_argument(f"--{f.name}", type=float, default=f.default)
     p.add_argument("--noise-acc", type=float, default=0.0)
     p.add_argument("--noise-gyro", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -172,7 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UsageError) as exc:
+    except (InertiaBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,19 +1,23 @@
 """Exception types shared across the toolkit."""
 
 
-class ShapeError(ValueError):
+class InertiaBenchError(Exception):
+    """Base of every error the library raises for bad input or misuse."""
+
+
+class ShapeError(InertiaBenchError, ValueError):
     """Array shapes are inconsistent with an operation's contract."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(InertiaBenchError, ArithmeticError):
     """Non-finite values appeared where finite ones are required."""
 
 
-class UsageError(RuntimeError):
+class UsageError(InertiaBenchError, RuntimeError):
     """API called out of order, e.g. backward before forward."""
 
 
-class ParseError(ValueError):
+class ParseError(InertiaBenchError, ValueError):
     """Malformed input file."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -21,7 +25,7 @@ class ParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class DataError(ValueError):
+class DataError(InertiaBenchError, ValueError):
     """Semantically invalid data (e.g. non-monotonic timestamps)."""
 
 
@@ -36,15 +40,22 @@ class DegenerateChannelError(DataError):
         self.channel = channel
         super().__init__(f"channel '{channel}' has zero spread")
 
+    def __reduce__(self):
+        return DegenerateChannelError, (self.channel,)
 
-class ConfigError(ValueError):
+
+class ConfigError(InertiaBenchError, ValueError):
     """Invalid or unknown keys in a configuration file."""
 
 
-class StageError(RuntimeError):
+class StageError(InertiaBenchError, RuntimeError):
     """Failure wrapped with the pipeline stage where it occurred."""
 
     def __init__(self, stage: str, cause: BaseException):
         self.stage = stage
         self.cause = cause
         super().__init__(f"[{stage}] {cause}")
+
+    def __reduce__(self):
+        # the default passes only the message, which __init__ cannot take
+        return StageError, (self.stage, self.cause)

@@ -256,10 +256,10 @@ class MaxPool1d(Layer):
         b, c, t = in_shape
         d = self.depth
         t_out = idx.shape[2]
-        gxr = np.zeros((b, c, t_out, d))
-        np.put_along_axis(gxr, idx[..., None], gout[..., None], axis=3)
         gx = np.zeros(in_shape)
-        gx[:, :, : t_out * d] = gxr.reshape(b, c, t_out * d)
+        # splitting only the last axis keeps the reshape a view of gx
+        gxr = gx[:, :, : t_out * d].reshape(b, c, t_out, d)
+        np.put_along_axis(gxr, idx[..., None], gout[..., None], axis=3)
         return gx
 
 

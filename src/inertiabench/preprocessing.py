@@ -8,6 +8,7 @@ transforms act on each of the six channels independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -15,8 +16,14 @@ from .data import CHANNELS, InertialSeries
 from .errors import DegenerateChannelError, ShapeError
 
 
+# Each step class carries its config ``op`` and the ``tag`` it adds to a
+# technique's name, a template formatted with the step's fields.
+
+
 @dataclass(frozen=True)
 class DenoiseStep:
+    op: ClassVar[str] = "denoise"
+    tag: ClassVar[str] = "denoise{window}"
     window: int
 
     def __post_init__(self):
@@ -26,6 +33,8 @@ class DenoiseStep:
 
 @dataclass(frozen=True)
 class AddNoiseStep:
+    op: ClassVar[str] = "add_noise"
+    tag: ClassVar[str] = "addnoise"
     sigma_acc: float = 0.1
     sigma_gyro: float = 0.001
 
@@ -36,6 +45,8 @@ class AddNoiseStep:
 
 @dataclass(frozen=True)
 class NormalizeStep:
+    op: ClassVar[str] = "normalize"
+    tag: ClassVar[str] = "{method}"
     method: str = "zscore"
 
     def __post_init__(self):
@@ -45,7 +56,11 @@ class NormalizeStep:
 
 @dataclass(frozen=True)
 class DetrendStep:
-    pass
+    op: ClassVar[str] = "detrend"
+    tag: ClassVar[str] = "detrend"
+
+
+STEP_TYPES = (DenoiseStep, AddNoiseStep, NormalizeStep, DetrendStep)
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,8 @@ class PreprocSpec:
     steps: tuple = ()
 
     def __post_init__(self):
-        allowed = (DenoiseStep, AddNoiseStep, NormalizeStep, DetrendStep)
         for s in self.steps:
-            if not isinstance(s, allowed):
+            if not isinstance(s, STEP_TYPES):
                 raise ShapeError(f"unknown preprocessing step {s!r}")
 
 
@@ -67,8 +81,7 @@ def moving_average(series: InertialSeries, n: int) -> InertialSeries:
     The recording shortens to T - n + 1 samples and keeps the leading
     timestamps, so downstream ground-truth alignment stays valid.
     """
-    if n < 1:
-        raise ShapeError(f"window must be >= 1, got {n}")
+    DenoiseStep(n)  # validates n
     if n > len(series):
         raise ShapeError(f"window {n} exceeds series length {len(series)}")
     if n == 1:
@@ -83,8 +96,7 @@ def moving_average(series: InertialSeries, n: int) -> InertialSeries:
 def add_measurement_noise(series: InertialSeries, sigma_acc: float,
                           sigma_gyro: float, rng: np.random.Generator) -> InertialSeries:
     """Add i.i.d. zero-mean Gaussian noise, per accelerometer/gyro std."""
-    if sigma_acc < 0 or sigma_gyro < 0:
-        raise ShapeError("noise stds must be non-negative")
+    AddNoiseStep(sigma_acc, sigma_gyro)  # validates the stds
     imu = series.imu.copy()
     n = len(series)
     if sigma_acc > 0:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,10 +31,11 @@ from .data import (
     synthesize_dataset,
     window_dataset,
 )
-from .errors import ConfigError, NumericError, ShapeError, StageError
+from .errors import ConfigError, ShapeError, StageError, UsageError
 from .losses import LossSpec, improvement_pct, metric_rmse
 from .model import ModelConfig, TrainConfig, build_model, train_model
 from .preprocessing import (
+    STEP_TYPES,
     AddNoiseStep,
     DenoiseStep,
     DetrendStep,
@@ -81,79 +82,119 @@ class DatasetSpec:
             raise ConfigError("dataset needs synthetic segments or csv paths")
 
 
+# How each spec sits in a config entry.  ``name``, ``to_dict`` and
+# ``_parse_technique`` all read these tables.
+
+
+def _keys(cls, *exclude) -> dict:
+    return {f.name: f.name for f in fields(cls) if f.name not in exclude}
+
+
+LOSS_KEYS = {"loss": "kind", "delta": "delta"}  # config key -> LossSpec field
+
+# augmentation kind -> (class, config key -> field, name fragment)
+AUGMENT_KINDS = {
+    "rotation": (AugmentationSpec, {"axes": "rotation_axes"},
+                 lambda a: "rotation-" + "+".join(a.rotation_axes)),
+    "bias": (AugmentationSpec, {"copies": "bias_copies", "sigma_acc": "sigma_acc",
+                                "sigma_gyro": "sigma_gyro"},
+             lambda a: f"bias-x{a.bias_copies}"),
+    "noise": (AugmentationSpec, {"schedule": "noise_schedule"},
+              lambda a: f"noise-x{len(a.noise_schedule)}"),
+}
+
+# preprocessing op -> (class, config key -> field, name fragment)
+STEP_OPS = {cls.op: (cls, _keys(cls), lambda s: s.tag.format(**vars(s)))
+            for cls in STEP_TYPES}
+
+
+def _jsonable(value):
+    return [_jsonable(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _dump(spec, keys) -> dict:
+    return {key: _jsonable(getattr(spec, f)) for key, f in keys.items()}
+
+
+def _read_tagged(section, family: dict, tag: str, context: str):
+    """A spec from an entry whose ``tag`` key picks its row of ``family``."""
+    section = dict(_section(section, context))
+    value = section.pop(tag, None)
+    if value not in family:
+        raise ConfigError(f"unknown {tag} {value!r} in {context}")
+    cls, keys, _ = family[value]
+    return _build(cls, section, context, keys, **({tag: value} if tag in _keys(cls) else {}))
+
+
+def _write_tagged(spec, family: dict, tag: str) -> dict:
+    value = getattr(spec, tag)
+    return {tag: value, **_dump(spec, family[value][1])}
+
+
+# technique kind -> (read, write, name) of its inner spec, or None for kinds
+# without one: read builds the spec from the entry's other keys and a context
+# for errors, write gives those keys back, name gives the name fragment
+TECHNIQUE_KINDS = {
+    "baseline": None,
+    "head2": None,
+    "head3": None,
+    "loss": (lambda e, c: _build(LossSpec, e, c, LOSS_KEYS, required=("loss",)),
+             lambda s: _dump(s, LOSS_KEYS), lambda s: s.kind),
+    "augment": (
+        lambda e, c: _read_tagged(_sole(e, "augment", c), AUGMENT_KINDS, "kind",
+                                  f"{c}.augment"),
+        lambda a: {"augment": _write_tagged(a, AUGMENT_KINDS, "kind")},
+        lambda a: AUGMENT_KINDS[a.kind][2](a)),
+    "preprocess": (
+        lambda e, c: PreprocSpec(tuple(
+            _read_tagged(s, STEP_OPS, "op", f"{c}.steps[{i}]")
+            for i, s in enumerate(_sole(e, "steps", c)))),
+        lambda p: {"steps": [_write_tagged(s, STEP_OPS, "op") for s in p.steps]},
+        lambda p: "+".join(STEP_OPS[s.op][2](s) for s in p.steps)),
+}
+
+
 @dataclass(frozen=True)
 class TechniqueSpec:
-    """Exactly one technique: the baseline or a single enhancement."""
+    """Exactly one technique: the baseline or a single enhancement.
 
-    kind: str  # baseline | head2 | head3 | loss | augment | preprocess
+    A technique with an inner spec keeps it in the field named after its
+    kind (``loss``, ``augment`` or ``preprocess``).
+    """
+
+    kind: str
     loss: LossSpec | None = None
     augment: AugmentationSpec | None = None
     preprocess: PreprocSpec | None = None
     label: str | None = None
 
     def __post_init__(self):
-        kinds = ("baseline", "head2", "head3", "loss", "augment", "preprocess")
-        if self.kind not in kinds:
+        if self.kind not in TECHNIQUE_KINDS:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
-        needs = {"loss": self.loss, "augment": self.augment,
-                 "preprocess": self.preprocess}
-        if self.kind in needs and needs[self.kind] is None:
-            raise ConfigError(f"technique '{self.kind}' needs its inner spec")
+        for inner in ("loss", "augment", "preprocess"):
+            if (getattr(self, inner) is None) == (inner == self.kind):
+                raise ConfigError(f"technique '{self.kind}' takes exactly its own "
+                                  f"inner spec, got {inner}={getattr(self, inner)!r}")
 
     @property
     def name(self) -> str:
         if self.label:
             return self.label
-        if self.kind == "loss":
-            return f"loss-{self.loss.kind}"
-        if self.kind == "augment":
-            a = self.augment
-            if a.kind == "rotation":
-                return "augment-rotation-" + "+".join(a.rotation_axes)
-            if a.kind == "bias":
-                return f"augment-bias-x{a.bias_copies}"
-            return f"augment-noise-x{len(a.noise_schedule)}"
-        if self.kind == "preprocess":
-            parts = []
-            for s in self.preprocess.steps:
-                if isinstance(s, DenoiseStep):
-                    parts.append(f"denoise{s.window}")
-                elif isinstance(s, AddNoiseStep):
-                    parts.append("addnoise")
-                elif isinstance(s, NormalizeStep):
-                    parts.append(s.method)
-                else:
-                    parts.append("detrend")
-            return "preprocess-" + "+".join(parts)
-        return self.kind
+        inner = TECHNIQUE_KINDS[self.kind]
+        if inner is None:
+            return self.kind
+        _, _, name = inner
+        return f"{self.kind}-{name(getattr(self, self.kind))}"
 
     def to_dict(self) -> dict:
+        """The technique's config entry."""
         out = {"kind": self.kind}
-        if self.loss is not None:
-            out["loss"] = {"kind": self.loss.kind, "delta": self.loss.delta}
-        if self.augment is not None:
-            a = self.augment
-            out["augment"] = {"kind": a.kind}
-            if a.kind == "rotation":
-                out["augment"]["axes"] = list(a.rotation_axes)
-            elif a.kind == "bias":
-                out["augment"].update(copies=a.bias_copies, sigma_acc=a.sigma_acc,
-                                      sigma_gyro=a.sigma_gyro)
-            else:
-                out["augment"]["schedule"] = [list(e) for e in a.noise_schedule]
-        if self.preprocess is not None:
-            steps = []
-            for s in self.preprocess.steps:
-                if isinstance(s, DenoiseStep):
-                    steps.append({"op": "denoise", "window": s.window})
-                elif isinstance(s, AddNoiseStep):
-                    steps.append({"op": "add_noise", "sigma_acc": s.sigma_acc,
-                                  "sigma_gyro": s.sigma_gyro})
-                elif isinstance(s, NormalizeStep):
-                    steps.append({"op": "normalize", "method": s.method})
-                else:
-                    steps.append({"op": "detrend"})
-            out["steps"] = steps
+        if self.label is not None:
+            out["name"] = self.label
+        inner = TECHNIQUE_KINDS[self.kind]
+        if inner is not None:
+            _, write, _ = inner
+            out.update(write(getattr(self, self.kind)))
         return out
 
 
@@ -186,18 +227,23 @@ class SuiteConfig:
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
 
+    def experiment(self, technique: TechniqueSpec) -> ExperimentConfig:
+        return ExperimentConfig(dataset=self.dataset, model=self.model,
+                                train=self.train, technique=technique,
+                                train_fraction=self.train_fraction)
+
 
 @dataclass
 class BenchReport:
+    """One technique's entry in report.json."""
+
     name: str
     spec: dict
     rmse_runs: list[float]
-    seeds: list[int]
     failed_runs: int
     mean: float | None
     std: float | None
     improvement_pct: float | None
-    wall_clock: float
 
     @property
     def failed(self) -> bool:
@@ -230,15 +276,8 @@ def augment_rng(seed: int) -> np.random.Generator:
 
 def load_recordings(ds: DatasetSpec) -> list[tuple[InertialSeries, GroundTruth]]:
     if ds.synthetic:
-        recordings = []
-        for seg in ds.synthetic:
-            recordings.append(
-                synthesize_dataset(seg.kind, duration=seg.duration, rate=seg.rate,
-                                   gt_rate=seg.gt_rate, params=seg.params,
-                                   noise_acc=seg.noise_acc, noise_gyro=seg.noise_gyro,
-                                   seed=seg.seed)
-            )
-        return recordings
+        # a segment's fields are synthesize_dataset's arguments
+        return [synthesize_dataset(**vars(seg)) for seg in ds.synthetic]
     series = parse_imu_csv(ds.imu_csv)
     if ds.descriptor.target_kind == "heading":
         if ds.gt_heading_csv is None:
@@ -258,6 +297,21 @@ def _split_series(series: InertialSeries, fraction: float):
             InertialSeries(series.t[k:], series.imu[k:]))
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError of ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _windowed(parts: list[WindowedDataset], descriptor, detrend: bool):
+    windows = np.concatenate([p.windows for p in parts])
+    return WindowedDataset(detrend_linear(windows) if detrend else windows,
+                           np.concatenate([p.labels for p in parts]), descriptor)
+
+
 def prepare_run(exp: ExperimentConfig, seed: int):
     """Build (train dataset, test dataset, model config) for one run.
 
@@ -266,15 +320,13 @@ def prepare_run(exp: ExperimentConfig, seed: int):
     touches the training split only.
     """
     technique = exp.technique
-    try:
+    with _stage("parse"):
         recordings = load_recordings(exp.dataset)
-    except Exception as exc:
-        raise StageError("parse", exc) from exc
 
     preproc = technique.preprocess if technique.kind == "preprocess" else PreprocSpec()
     detrend = any(isinstance(s, DetrendStep) for s in preproc.steps)
 
-    try:
+    with _stage("preprocess"):
         rng = np.random.default_rng([seed, 4])
         for step in preproc.steps:
             if isinstance(step, DenoiseStep):
@@ -290,45 +342,23 @@ def prepare_run(exp: ExperimentConfig, seed: int):
                 )
                 stats = fit_channel_stats(train_imu, step.method)
                 recordings = [(apply_channel_stats(s, stats), g) for s, g in recordings]
-    except Exception as exc:
-        raise StageError("preprocess", exc) from exc
 
-    try:
-        train_parts, test_parts = [], []
-        for series, gt in recordings:
-            tr, te = _split_series(series, exp.train_fraction)
-            train_parts.append(window_dataset(tr, gt, exp.dataset.descriptor))
-            test_parts.append(window_dataset(te, gt, exp.dataset.descriptor))
+    with _stage("window"):
         descriptor = exp.dataset.descriptor
-        train_ds = WindowedDataset(
-            np.concatenate([p.windows for p in train_parts]),
-            np.concatenate([p.labels for p in train_parts]),
-            descriptor,
-        )
-        test_ds = WindowedDataset(
-            np.concatenate([p.windows for p in test_parts]),
-            np.concatenate([p.labels for p in test_parts]),
-            descriptor,
-        )
-        if detrend:
-            train_ds = WindowedDataset(detrend_linear(train_ds.windows),
-                                       train_ds.labels, descriptor)
-            test_ds = WindowedDataset(detrend_linear(test_ds.windows),
-                                      test_ds.labels, descriptor)
-    except Exception as exc:
-        raise StageError("window", exc) from exc
+        # per recording: (train windows, test windows)
+        splits = [[window_dataset(part, gt, descriptor)
+                   for part in _split_series(series, exp.train_fraction)]
+                  for series, gt in recordings]
+        train_ds, test_ds = (_windowed(parts, descriptor, detrend)
+                             for parts in zip(*splits))
 
     if technique.kind == "augment":
-        try:
+        with _stage("augment"):
             train_ds = apply_augmentation(train_ds, technique.augment, augment_rng(seed))
-        except Exception as exc:
-            raise StageError("augment", exc) from exc
 
-    model_config = exp.model
+    model_config = replace(exp.model, output_dim=exp.dataset.descriptor.label_dim)
     if technique.kind in ("head2", "head3"):
         model_config = replace(model_config, head_mode=technique.kind)
-    model_config = replace(model_config,
-                           output_dim=exp.dataset.descriptor.label_dim)
     return train_ds, test_ds, model_config
 
 
@@ -350,22 +380,17 @@ def fit_model(exp: ExperimentConfig, train_ds: WindowedDataset,
 def run_experiment(exp: ExperimentConfig, seed: int) -> float:
     """One seeded run; returns the test-split RMSE."""
     train_ds, test_ds, model_config = prepare_run(exp, seed)
-
-    try:
+    with _stage("train"):
         model, _ = fit_model(exp, train_ds, model_config, seed)
-    except Exception as exc:
-        raise StageError("train", exc) from exc
+    with _stage("evaluate"):
+        return metric_rmse(test_ds.labels, model.predict(test_ds.windows))
 
+
+def _run_job(job) -> float | StageError:
     try:
-        pred = model.predict(test_ds.windows)
-        return metric_rmse(test_ds.labels, pred)
-    except Exception as exc:
-        raise StageError("evaluate", exc) from exc
-
-
-def _run_job(args):
-    exp, seed = args
-    return run_experiment(exp, seed)
+        return run_experiment(*job)
+    except StageError as exc:
+        return exc
 
 
 def worker_count(n_jobs: int) -> int:
@@ -387,65 +412,34 @@ def worker_count(n_jobs: int) -> int:
 def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     """Run every technique ``repetitions`` times with paired seeds.
 
-    Runs that fail numerically are excluded from aggregation with a warning;
-    a technique with no surviving run is marked failed.  Worker count comes
-    from ``worker_count``; reports are identical for any worker count.
+    Failed runs are excluded from aggregation with a warning; a technique
+    with no surviving run is marked failed.  Worker count comes from
+    ``worker_count``; reports are identical for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
-    jobs = []
-    for tech in suite.techniques:
-        exp = ExperimentConfig(dataset=suite.dataset, model=suite.model,
-                               train=suite.train, technique=tech,
-                               train_fraction=suite.train_fraction)
-        for seed in seeds:
-            jobs.append((exp, seed))
-
+    jobs = [(suite.experiment(tech), seed)
+            for tech in suite.techniques for seed in seeds]
     workers = worker_count(len(jobs))
-    started = time.monotonic()
-    results: list[float | StageError] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_job, job) for job in jobs]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except (StageError, NumericError) as exc:
-                    results.append(exc)
-    else:
-        for job in jobs:
-            try:
-                results.append(_run_job(job))
-            except (StageError, NumericError) as exc:
-                results.append(exc)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_run_job, jobs))
 
     reports = []
-    baseline_mean = None
-    per_tech = [results[i * len(seeds):(i + 1) * len(seeds)]
-                for i in range(len(suite.techniques))]
-    # first pass: the baseline mean anchors every improvement percentage
-    for tech, chunk in zip(suite.techniques, per_tech):
-        if tech.kind == "baseline":
-            ok = [r for r in chunk if not isinstance(r, Exception)]
-            if ok:
-                baseline_mean = float(np.mean(ok))
-            break
-    elapsed = time.monotonic() - started
-    for tech, chunk in zip(suite.techniques, per_tech):
-        ok = [float(r) for r in chunk if not isinstance(r, Exception)]
-        failed = len(chunk) - len(ok)
+    for i, tech in enumerate(suite.techniques):
+        chunk = results[i * len(seeds):(i + 1) * len(seeds)]
+        ok = [float(r) for r in chunk if not isinstance(r, StageError)]
         for r in chunk:
-            if isinstance(r, Exception):
+            if isinstance(r, StageError):
                 warnings.warn(f"run of '{tech.name}' failed: {r}")
-        mean = float(np.mean(ok)) if ok else None
-        std = float(np.std(ok)) if ok else None
-        imp = None
-        if ok and baseline_mean is not None and baseline_mean > 0:
-            imp = improvement_pct(baseline_mean, mean)
         reports.append(BenchReport(
             name=tech.name, spec=tech.to_dict(), rmse_runs=ok,
-            seeds=list(seeds), failed_runs=failed, mean=mean, std=std,
-            improvement_pct=imp, wall_clock=elapsed,
+            failed_runs=len(chunk) - len(ok), mean=float(np.mean(ok)) if ok else None,
+            std=float(np.std(ok)) if ok else None, improvement_pct=None,
         ))
+    # the first baseline's mean anchors every improvement percentage
+    base = next(r.mean for r, t in zip(reports, suite.techniques) if t.kind == "baseline")
+    for r in reports:
+        if r.mean is not None and base is not None and base > 0:
+            r.improvement_pct = improvement_pct(base, r.mean)
     return reports
 
 
@@ -454,21 +448,10 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
 
 
 def report_to_json(reports: list[BenchReport], suite: SuiteConfig) -> str:
-    """Deterministic report serialization (wall clock deliberately omitted)."""
+    """Deterministic report serialization."""
     doc = {
         "suite": {"base_seed": suite.base_seed, "repetitions": suite.repetitions},
-        "techniques": [
-            {
-                "name": r.name,
-                "spec": r.spec,
-                "rmse_runs": r.rmse_runs,
-                "mean": r.mean,
-                "std": r.std,
-                "improvement_pct": r.improvement_pct,
-                "failed_runs": r.failed_runs,
-            }
-            for r in reports
-        ],
+        "techniques": [asdict(r) for r in reports],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -523,20 +506,19 @@ def emit_outputs(reports: list[BenchReport], suite: SuiteConfig, out_dir,
     """Write report files; returns {format: path}."""
     if not reports:
         raise ShapeError("no reports to emit")
+    writers = {"json": ("report.json", lambda: report_to_json(reports, suite)),
+               "csv": ("report.csv", lambda: report_to_csv(reports)),
+               "svg": ("improvement.svg", lambda: render_improvement_svg(reports))}
+    unknown = sorted(set(formats) - set(writers))
+    if unknown:
+        raise UsageError(f"unknown output format(s) {unknown}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    if "json" in formats:
-        paths["json"] = os.path.join(out_dir, "report.json")
-        with open(paths["json"], "w") as fh:
-            fh.write(report_to_json(reports, suite))
-    if "csv" in formats:
-        paths["csv"] = os.path.join(out_dir, "report.csv")
-        with open(paths["csv"], "w") as fh:
-            fh.write(report_to_csv(reports))
-    if "svg" in formats:
-        paths["svg"] = os.path.join(out_dir, "improvement.svg")
-        with open(paths["svg"], "w") as fh:
-            fh.write(render_improvement_svg(reports))
+    for fmt, (filename, render) in writers.items():
+        if fmt in formats:
+            paths[fmt] = os.path.join(out_dir, filename)
+            with open(paths[fmt], "w") as fh:
+                fh.write(render())
     return paths
 
 
@@ -544,135 +526,99 @@ def emit_outputs(reports: list[BenchReport], suite: SuiteConfig, out_dir,
 # config files
 
 
-def _check_keys(section: dict, allowed, context: str):
+def _section(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be an object, got {value!r}")
+    return value
+
+
+def _sole(entry: dict, key: str, context: str):
+    """The value of ``key``, the one key left in ``entry``."""
+    _check(entry, (key,), (key,), context)
+    return entry[key]
+
+
+def _check(section: dict, allowed, required, context: str):
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
+    missing = sorted(set(required) - set(section))
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {context}")
 
 
-def _parse_descriptor(section: dict) -> DatasetDescriptor:
-    _check_keys(section, ("name", "sampling_rate", "window_size", "stride",
-                          "target_kind"), "dataset.descriptor")
-    return DatasetDescriptor(**section)
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
 
 
-def _parse_segment(section: dict) -> SyntheticSegment:
-    _check_keys(section, ("kind", "duration", "rate", "gt_rate", "params",
-                          "noise_acc", "noise_gyro", "seed"), "dataset.synthetic[]")
-    params = section.pop("params", None)
-    if params is not None:
-        _check_keys(params, ("speed", "heading", "radius", "omega", "amplitude",
-                             "frequency"), "dataset.synthetic[].params")
-        params = SynthParams(**params)
-        return SyntheticSegment(params=params, **section)
-    return SyntheticSegment(**section)
+def _build(cls, section, context: str, keys=None, required=(), decode=None,
+           **fixed):
+    """``cls`` from one config section.
+
+    ``keys`` maps config keys to fields of ``cls`` (default: every field not
+    given in ``fixed``, under its own name).  A key is required if its field
+    has no default or it is listed in ``required``; ``decode`` maps a key to
+    a function ``(value, context) -> field value`` for nested sections.
+    Unknown or missing keys and values the class rejects raise ConfigError.
+    """
+    section = _section(section, context)
+    keys = _keys(cls, *fixed) if keys is None else keys
+    no_default = {f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING}
+    _check(section, keys,
+           [k for k, f in keys.items() if f in no_default] + list(required), context)
+    decode = decode or {}
+    kwargs = {keys[k]: decode[k](v, f"{context}.{k}") if k in decode else _frozen(v)
+              for k, v in section.items()}
+    try:
+        return cls(**kwargs, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
-def _parse_dataset(section: dict) -> DatasetSpec:
-    _check_keys(section, ("descriptor", "synthetic", "imu_csv", "gt_pos_csv",
-                          "gt_heading_csv"), "dataset")
-    if "descriptor" not in section:
-        raise ConfigError("dataset.descriptor is required")
-    descriptor = _parse_descriptor(dict(section["descriptor"]))
-    synthetic = tuple(_parse_segment(dict(seg))
-                      for seg in section.get("synthetic", []))
-    return DatasetSpec(descriptor=descriptor, synthetic=synthetic,
-                       imu_csv=section.get("imu_csv"),
-                       gt_pos_csv=section.get("gt_pos_csv"),
-                       gt_heading_csv=section.get("gt_heading_csv"))
-
-
-def _parse_preproc_steps(steps: list) -> PreprocSpec:
-    parsed = []
-    for raw in steps:
-        raw = dict(raw)
-        op = raw.pop("op", None)
-        if op == "denoise":
-            _check_keys(raw, ("window",), "preprocess step denoise")
-            parsed.append(DenoiseStep(**raw))
-        elif op == "add_noise":
-            _check_keys(raw, ("sigma_acc", "sigma_gyro"), "preprocess step add_noise")
-            parsed.append(AddNoiseStep(**raw))
-        elif op == "normalize":
-            _check_keys(raw, ("method",), "preprocess step normalize")
-            parsed.append(NormalizeStep(**raw))
-        elif op == "detrend":
-            _check_keys(raw, (), "preprocess step detrend")
-            parsed.append(DetrendStep())
-        else:
-            raise ConfigError(f"unknown preprocessing op '{op}'")
-    return PreprocSpec(tuple(parsed))
-
-
-def _parse_technique(section: dict) -> TechniqueSpec:
-    section = dict(section)
-    _check_keys(section, ("kind", "name", "loss", "delta", "augment", "steps"),
-                "techniques[]")
-    kind = section.get("kind")
-    label = section.get("name")
-    if kind in ("baseline", "head2", "head3"):
+def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
+    entry = dict(_section(entry, context))
+    kind = entry.pop("kind", None)
+    if kind not in TECHNIQUE_KINDS:
+        raise ConfigError(f"unknown technique kind {kind!r} in {context}")
+    label = entry.pop("name", None)
+    inner = TECHNIQUE_KINDS[kind]
+    if inner is None:
+        _check(entry, (), (), context)
         return TechniqueSpec(kind, label=label)
-    if kind == "loss":
-        return TechniqueSpec(kind, label=label,
-                             loss=LossSpec(section["loss"],
-                                           section.get("delta", 1.0)))
-    if kind == "augment":
-        aug = dict(section.get("augment", {}))
-        _check_keys(aug, ("kind", "axes", "copies", "sigma_acc", "sigma_gyro",
-                          "schedule"), "techniques[].augment")
-        akind = aug.get("kind")
-        kwargs = {"kind": akind}
-        if "axes" in aug:
-            kwargs["rotation_axes"] = tuple(aug["axes"])
-        if "copies" in aug:
-            kwargs["bias_copies"] = aug["copies"]
-        if "sigma_acc" in aug:
-            kwargs["sigma_acc"] = aug["sigma_acc"]
-        if "sigma_gyro" in aug:
-            kwargs["sigma_gyro"] = aug["sigma_gyro"]
-        if "schedule" in aug:
-            kwargs["noise_schedule"] = tuple(tuple(e) for e in aug["schedule"])
-        return TechniqueSpec(kind, label=label, augment=AugmentationSpec(**kwargs))
-    if kind == "preprocess":
-        return TechniqueSpec(kind, label=label,
-                             preprocess=_parse_preproc_steps(section.get("steps", [])))
-    raise ConfigError(f"unknown technique kind '{kind}'")
+    read, _, _ = inner
+    return TechniqueSpec(kind, label=label, **{kind: read(entry, context)})
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
-    _check_keys(doc, ("dataset", "model", "train", "suite", "techniques"),
-                "top level")
-    if "dataset" not in doc or "techniques" not in doc:
-        raise ConfigError("config needs 'dataset' and 'techniques' sections")
-    dataset = _parse_dataset(dict(doc["dataset"]))
-
-    model_section = dict(doc.get("model", {}))
-    _check_keys(model_section, ("head_mode", "conv_filters", "kernel_size", "stride",
-                               "pool_depth", "dropout", "lstm_hidden", "fc_width"),
-                "model")
-    model = ModelConfig(**model_section)
-
-    train_section = dict(doc.get("train", {}))
-    _check_keys(train_section, ("epochs", "batch_size", "learning_rate", "loss",
-                               "delta", "seed"), "train")
-    loss = LossSpec(train_section.pop("loss", "mse"), train_section.pop("delta", 1.0))
-    train = TrainConfig(loss=loss, **train_section)
-
-    suite_section = dict(doc.get("suite", {}))
-    _check_keys(suite_section, ("repetitions", "base_seed", "train_fraction"), "suite")
-
-    techniques = tuple(_parse_technique(t) for t in doc["techniques"])
-    return SuiteConfig(dataset=dataset, techniques=techniques, model=model,
-                       train=train, **suite_section)
+    _check(_section(doc, "config"), ("dataset", "model", "train", "suite", "techniques"),
+           ("dataset", "techniques"), "top level")
+    dataset = _build(DatasetSpec, doc["dataset"], "dataset", decode={
+        "descriptor": lambda v, c: _build(DatasetDescriptor, v, c),
+        "synthetic": lambda v, c: tuple(
+            _build(SyntheticSegment, s, f"{c}[{i}]",
+                   decode={"params": lambda p, pc: _build(SynthParams, p, pc)})
+            for i, s in enumerate(v)),
+    })
+    train = dict(_section(doc.get("train", {}), "train"))
+    loss = _build(LossSpec, {k: train.pop(k) for k in LOSS_KEYS if k in train},
+                  "train", LOSS_KEYS)
+    techniques = tuple(_parse_technique(t, f"techniques[{i}]")
+                       for i, t in enumerate(doc["techniques"]))
+    return _build(
+        SuiteConfig, doc.get("suite", {}), "suite", dataset=dataset,
+        techniques=techniques,
+        model=_build(ModelConfig, doc.get("model", {}), "model",
+                     _keys(ModelConfig, "output_dim")),
+        # no train.seed: every run draws from its own seeded generators
+        train=_build(TrainConfig, train, "train", _keys(TrainConfig, "loss", "seed"),
+                     loss=loss))
 
 
 def load_suite_config(path) -> SuiteConfig:
     try:
         with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    except OSError as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_suite_config(doc)

@@ -189,3 +189,36 @@ class TestReport:
         assert (redo / "report.csv").read_text() == \
             (out / "report.csv").read_text()
         assert (redo / "improvement.svg").exists()
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("case", ["missing-checkpoint", "missing-report",
+                                      "invalid-report", "report-to-json",
+                                      "unknown-format", "unknown-loss-kind"])
+    def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys):
+        out = str(tmp_path / "out")
+        if case == "missing-checkpoint":
+            argv = ["eval", "--config", str(config_path),
+                    "--checkpoint", str(tmp_path / "missing.npz")]
+        elif case == "missing-report":
+            argv = ["report", "--report", str(tmp_path / "missing.json"),
+                    "--out-dir", str(tmp_path / "out")]
+        elif case == "invalid-report":
+            bad = tmp_path / "report.json"
+            bad.write_text('{"techniques": [{"name": "baseline"}]}')
+            argv = ["report", "--report", str(bad), "--out-dir", out]
+        elif case == "report-to-json":
+            argv = ["report", "--report", str(tmp_path / "report.json"), "--out-dir", out,
+                    "--formats", "csv,json"]
+        elif case == "unknown-format":
+            argv = ["bench", "--config", str(config_path), "--out-dir", out,
+                    "--formats", "json,cvs"]
+        else:
+            doc = json.loads(json.dumps(TINY_CONFIG))
+            doc["techniques"].append({"kind": "loss", "loss": "cubic"})
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps(doc))
+            argv = ["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

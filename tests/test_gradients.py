@@ -78,6 +78,10 @@ def test_maxpool_and_relu_grads(trial):
     pool = MaxPool1d(3)
     err = check_layer_grads(lambda: pool, x, LossSpec("mse"), target)
     assert err < 1e-4
+    # T % d != 0: the trailing partial window gets zero gradient
+    x10 = rng.normal(size=(2, 3, 10))
+    err = check_layer_grads(lambda: pool, x10, LossSpec("mse"), target)
+    assert err < 1e-4
     act = ReLU()
     target2 = rng.normal(size=x.shape)
     err = check_layer_grads(lambda: act, x + 0.1, LossSpec("mse"), target2)

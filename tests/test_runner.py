@@ -1,14 +1,19 @@
 import json
+import pickle
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from inertiabench.augmentation import AugmentationSpec
 from inertiabench.data import DatasetDescriptor
-from inertiabench.errors import ConfigError, StageError
+from inertiabench.errors import ConfigError, DegenerateChannelError, StageError
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
 from inertiabench.preprocessing import DenoiseStep, DetrendStep, NormalizeStep, PreprocSpec
+
+from test_acceptance import BENCH_CONFIG
 from inertiabench.runner import (
     WORKERS_ENV,
     DatasetSpec,
@@ -16,6 +21,7 @@ from inertiabench.runner import (
     SuiteConfig,
     SyntheticSegment,
     TechniqueSpec,
+    _parse_technique,
     emit_outputs,
     load_suite_config,
     parse_suite_config,
@@ -143,12 +149,27 @@ class TestRunSuite:
 
     def test_json_identical_for_one_and_two_workers(self, suite, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        docs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv(WORKERS_ENV, workers)
-            assert worker_count(4) == int(workers)
-            docs.append(report_to_json(run_suite(suite), suite))
-        assert docs[0] == docs[1]
+        # a window longer than the recording fails every run of the second
+        # technique in the preprocess stage; its StageError crosses processes
+        failing = replace(suite, techniques=(
+            TechniqueSpec("baseline"),
+            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(100000),)))))
+        for case in (suite, failing):
+            docs = []
+            for workers in ("1", "2"):
+                monkeypatch.setenv(WORKERS_ENV, workers)
+                assert worker_count(4) == int(workers)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    docs.append(report_to_json(run_suite(case), case))
+            assert docs[0] == docs[1]
+        assert [t["failed_runs"] for t in json.loads(docs[1])["techniques"]] == [0, 2]
+
+    def test_stage_error_pickles(self):
+        cause = DegenerateChannelError("fx")
+        err = pickle.loads(pickle.dumps(StageError("preprocess", cause)))
+        assert (err.stage, str(err), err.cause.channel) == \
+            ("preprocess", "[preprocess] channel 'fx' has zero spread", "fx")
 
 
 class TestWorkerCount:
@@ -202,8 +223,8 @@ class TestEmitOutputs:
         from inertiabench.runner import BenchReport, render_improvement_svg
 
         reports = [
-            BenchReport("up", {}, [1.0], [0], 0, 1.0, 0.0, 7.0, 0.0),
-            BenchReport("down", {}, [1.0], [0], 0, 1.0, 0.0, -5.0, 0.0),
+            BenchReport("up", {}, [1.0], 0, 1.0, 0.0, 7.0),
+            BenchReport("down", {}, [1.0], 0, 1.0, 0.0, -5.0),
         ]
         svg = render_improvement_svg(reports)
         assert "+7.0%" in svg
@@ -282,3 +303,62 @@ class TestConfigParsing:
             "baseline", "loss-huber", "augment-rotation-T1+T3",
             "augment-bias-x3", "augment-noise-x1", "preprocess-denoise5+detrend",
         ]
+
+    @pytest.mark.parametrize(
+        "entry",
+        BENCH_CONFIG["techniques"] + CONFIG_DOC["techniques"] + [
+            {"kind": "preprocess", "name": "smooth-then-scale",
+             "steps": [{"op": "denoise", "window": 3},
+                       {"op": "add_noise", "sigma_acc": 0.2, "sigma_gyro": 0.0},
+                       {"op": "normalize", "method": "robust"}]},
+        ])
+    def test_to_dict_round_trips(self, entry):
+        t = _parse_technique(entry)
+        assert _parse_technique(json.loads(json.dumps(t.to_dict()))) == t
+        assert t.to_dict().get("name") == entry.get("name")
+
+    def test_to_dict_is_the_config_entry_form(self):
+        t = _parse_technique({"kind": "loss", "loss": "huber", "delta": 2.0,
+                              "name": "robust-loss"})
+        assert t.to_dict() == {"kind": "loss", "name": "robust-loss", "loss": "huber",
+                               "delta": 2.0}
+
+    @pytest.mark.parametrize("section, value, match", [
+        # keys that belong to another kind
+        ("techniques", {"kind": "baseline", "loss": "mae"}, "unknown key"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "rotation", "copies": 3}},
+         "unknown key"),
+        ("techniques", {"kind": "loss", "loss": "mae", "steps": []}, "unknown key"),
+        # missing keys
+        ("techniques", {"kind": "loss"}, "missing key"),
+        ("techniques", {"kind": "augment"}, "missing key"),
+        ("techniques", {"kind": "preprocess", "steps": [{"op": "denoise"}]},
+         r"missing key\(s\) \['window'\] in techniques\[6\]\.steps\[0\]"),
+        ("descriptor", {"name": "tiny", "sampling_rate": 40.0, "window_size": 40,
+                        "target_kind": "distance_xy"}, r"\['stride'\] in dataset.descriptor"),
+        # invalid values
+        ("techniques", {"kind": "loss", "loss": "cubic"}, "invalid techniques"),
+        ("techniques", {"kind": "preprocess", "steps": [{"op": "denoise", "window": 0}]},
+         "invalid techniques"),
+        ("techniques", {"kind": "preprocess", "steps": [{"op": "smooth"}]}, "unknown"),
+        ("techniques", "baseline", "must be an object"),
+        ("model", {"output_dim": 2}, "unknown key"),
+        ("model", {"conv_filters": "many"}, "invalid model"),
+        ("suite", {"repetitions": 0}, "invalid suite"),
+        ("train", {"seed": 3}, r"unknown key\(s\) \['seed'\] in train"),
+        ("train", {"loss": "cubic"}, "invalid train"),
+        ("segment", {"kind": "circle", "params": {"radius": 2.0, "spin": 1.0}},
+         r"dataset\.synthetic\[0\]\.params"),
+    ])
+    def test_malformed_section_is_config_error(self, section, value, match):
+        doc = json.loads(json.dumps(CONFIG_DOC))
+        if section == "techniques":
+            doc["techniques"].append(value)
+        elif section == "descriptor":
+            doc["dataset"]["descriptor"] = value
+        elif section == "segment":
+            doc["dataset"]["synthetic"][0] = value
+        else:
+            doc[section] = value
+        with pytest.raises(ConfigError, match=match):
+            parse_suite_config(doc)
