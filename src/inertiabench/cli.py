@@ -21,6 +21,7 @@ from .model import load_checkpoint, save_checkpoint
 from .runner import (
     BenchReport,
     ExperimentConfig,
+    check_formats,
     emit_outputs,
     fit_model,
     load_suite_config,
@@ -45,8 +46,10 @@ def _cmd_synth(args):
 
 def _cmd_bench(args):
     suite = load_suite_config(args.config)
+    formats = tuple(args.formats.split(","))
+    check_formats(formats)
     reports = run_suite(suite)
-    paths = emit_outputs(reports, suite, args.out_dir, tuple(args.formats.split(",")))
+    paths = emit_outputs(reports, suite, args.out_dir, formats)
     for r in reports:
         status = "FAILED" if r.failed else f"mean RMSE {r.mean:.6g}"
         imp = "" if r.improvement_pct is None else f"  improvement {r.improvement_pct:+.2f}%"

@@ -78,8 +78,13 @@ class DatasetSpec:
     gt_heading_csv: str | None = None
 
     def __post_init__(self):
-        if not self.synthetic and self.imu_csv is None:
+        if self.synthetic:
+            return
+        if self.imu_csv is None:
             raise ConfigError("dataset needs synthetic segments or csv paths")
+        gt = "gt_heading_csv" if self.descriptor.target_kind == "heading" else "gt_pos_csv"
+        if getattr(self, gt) is None:
+            raise ConfigError(f"{self.descriptor.target_kind} targets need {gt}")
 
 
 # How each spec sits in a config entry.  ``name``, ``to_dict`` and
@@ -280,14 +285,22 @@ def load_recordings(ds: DatasetSpec) -> list[tuple[InertialSeries, GroundTruth]]
         return [synthesize_dataset(**vars(seg)) for seg in ds.synthetic]
     series = parse_imu_csv(ds.imu_csv)
     if ds.descriptor.target_kind == "heading":
-        if ds.gt_heading_csv is None:
-            raise ConfigError("heading targets need gt_heading_csv")
         gt = parse_gt_heading_csv(ds.gt_heading_csv)
     else:
-        if ds.gt_pos_csv is None:
-            raise ConfigError(f"{ds.descriptor.target_kind} targets need gt_pos_csv")
         gt = parse_gt_pos_csv(ds.gt_pos_csv)
     return [(series, gt)]
+
+
+def _read_only(recordings: list[tuple[InertialSeries, GroundTruth]]) -> None:
+    """Make every array of ``recordings`` read-only.
+
+    Runs share one loaded copy, so a step that wrote into it in place would
+    change the input of every later run; it raises ValueError instead.
+    """
+    for series, gt in recordings:
+        for array in (series.t, series.imu, gt.t, gt.position, gt.heading):
+            if array is not None:
+                array.setflags(write=False)
 
 
 def _split_series(series: InertialSeries, fraction: float):
@@ -312,16 +325,22 @@ def _windowed(parts: list[WindowedDataset], descriptor, detrend: bool):
                            np.concatenate([p.labels for p in parts]), descriptor)
 
 
-def prepare_run(exp: ExperimentConfig, seed: int):
+def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
     """Build (train dataset, test dataset, model config) for one run.
 
-    Preprocessing applies identically to both splits except that
-    normalization statistics come from the training split only; augmentation
-    touches the training split only.
+    ``recordings`` are ``load_recordings(exp.dataset)``, loaded here when not
+    given; their arrays are made read-only, because callers share them
+    between runs.  Preprocessing applies identically to both splits except
+    that normalization statistics come from the training split only;
+    augmentation touches the training split only.  ``denoise`` smooths each
+    whole recording before the time split, so the samples around the split
+    boundary average over both sides of it.
     """
     technique = exp.technique
-    with _stage("parse"):
-        recordings = load_recordings(exp.dataset)
+    if recordings is None:
+        with _stage("parse"):
+            recordings = load_recordings(exp.dataset)
+    _read_only(recordings)
 
     preproc = technique.preprocess if technique.kind == "preprocess" else PreprocSpec()
     detrend = any(isinstance(s, DetrendStep) for s in preproc.steps)
@@ -377,9 +396,12 @@ def fit_model(exp: ExperimentConfig, train_ds: WindowedDataset,
     return model, curve
 
 
-def run_experiment(exp: ExperimentConfig, seed: int) -> float:
-    """One seeded run; returns the test-split RMSE."""
-    train_ds, test_ds, model_config = prepare_run(exp, seed)
+def run_experiment(exp: ExperimentConfig, seed: int, recordings=None) -> float:
+    """One seeded run; returns the test-split RMSE.
+
+    ``recordings`` are passed to ``prepare_run``.
+    """
+    train_ds, test_ds, model_config = prepare_run(exp, seed, recordings)
     with _stage("train"):
         model, _ = fit_model(exp, train_ds, model_config, seed)
     with _stage("evaluate"):
@@ -412,16 +434,25 @@ def worker_count(n_jobs: int) -> int:
 def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     """Run every technique ``repetitions`` times with paired seeds.
 
-    Failed runs are excluded from aggregation with a warning; a technique
-    with no surviving run is marked failed.  Worker count comes from
-    ``worker_count``; reports are identical for any worker count.
+    The dataset's recordings are loaded once and shared read-only by every
+    run.  Failed runs are excluded from aggregation with a warning; a
+    technique with no surviving run is marked failed, and if the recordings
+    cannot be loaded every run fails in the ``parse`` stage.  Worker count
+    comes from ``worker_count``; reports are identical for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
-    jobs = [(suite.experiment(tech), seed)
-            for tech in suite.techniques for seed in seeds]
-    workers = worker_count(len(jobs))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_run_job, jobs))
+    runs = [(suite.experiment(tech), seed) for tech in suite.techniques for seed in seeds]
+    workers = worker_count(len(runs))
+    try:
+        with _stage("parse"):
+            recordings = load_recordings(suite.dataset)
+    except StageError as exc:
+        results = [exc] * len(runs)  # every run fails to parse the same files
+    else:
+        # each job of a worker process carries its own pickled copy
+        jobs = [(exp, seed, recordings) for exp, seed in runs]
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            results = list((pool.map if pool else map)(_run_job, jobs))
 
     reports = []
     for i, tech in enumerate(suite.techniques):
@@ -501,24 +532,34 @@ def render_improvement_svg(reports: list[BenchReport]) -> str:
     return "\n".join(parts) + "\n"
 
 
+# output format -> (file name, render(reports, suite))
+OUTPUT_FORMATS = {
+    "json": ("report.json", report_to_json),
+    "csv": ("report.csv", lambda reports, suite: report_to_csv(reports)),
+    "svg": ("improvement.svg", lambda reports, suite: render_improvement_svg(reports)),
+}
+
+
+def check_formats(formats) -> None:
+    """Raise UsageError for a format ``emit_outputs`` cannot write."""
+    unknown = sorted(set(formats) - set(OUTPUT_FORMATS))
+    if unknown:
+        raise UsageError(f"unknown output format(s) {unknown}")
+
+
 def emit_outputs(reports: list[BenchReport], suite: SuiteConfig, out_dir,
                  formats=("json", "csv", "svg")) -> dict[str, str]:
     """Write report files; returns {format: path}."""
     if not reports:
         raise ShapeError("no reports to emit")
-    writers = {"json": ("report.json", lambda: report_to_json(reports, suite)),
-               "csv": ("report.csv", lambda: report_to_csv(reports)),
-               "svg": ("improvement.svg", lambda: render_improvement_svg(reports))}
-    unknown = sorted(set(formats) - set(writers))
-    if unknown:
-        raise UsageError(f"unknown output format(s) {unknown}")
+    check_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for fmt, (filename, render) in writers.items():
+    for fmt, (filename, render) in OUTPUT_FORMATS.items():
         if fmt in formats:
             paths[fmt] = os.path.join(out_dir, filename)
             with open(paths[fmt], "w") as fh:
-                fh.write(render())
+                fh.write(render(reports, suite))
     return paths
 
 

@@ -194,8 +194,11 @@ class TestReport:
 class TestOneLineErrors:
     @pytest.mark.parametrize("case", ["missing-checkpoint", "missing-report",
                                       "invalid-report", "report-to-json",
-                                      "unknown-format", "unknown-loss-kind"])
-    def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys):
+                                      "unknown-format", "unknown-loss-kind",
+                                      "distance-without-gt-pos",
+                                      "heading-without-gt-heading"])
+    def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
+                                       monkeypatch):
         out = str(tmp_path / "out")
         if case == "missing-checkpoint":
             argv = ["eval", "--config", str(config_path),
@@ -211,8 +214,24 @@ class TestOneLineErrors:
             argv = ["report", "--report", str(tmp_path / "report.json"), "--out-dir", out,
                     "--formats", "csv,json"]
         elif case == "unknown-format":
+            # the format list is checked before any training
+            def no_run(suite):
+                raise AssertionError("run_suite called")
+            monkeypatch.setattr("inertiabench.cli.run_suite", no_run)
             argv = ["bench", "--config", str(config_path), "--out-dir", out,
                     "--formats", "json,cvs"]
+        elif case in ("distance-without-gt-pos", "heading-without-gt-heading"):
+            # the ground-truth file the target kind needs is checked at parse time
+            doc = json.loads(json.dumps(TINY_CONFIG))
+            target, gt = (("distance_xy", "gt_heading_csv") if case.startswith("distance")
+                          else ("heading", "gt_pos_csv"))
+            doc["dataset"] = {"descriptor": {**doc["dataset"]["descriptor"],
+                                             "target_kind": target},
+                              "imu_csv": str(tmp_path / "imu.csv"),
+                              gt: str(tmp_path / f"{gt}.csv")}
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps(doc))
+            argv = ["bench", "--config", str(path), "--out-dir", out]
         else:
             doc = json.loads(json.dumps(TINY_CONFIG))
             doc["techniques"].append({"kind": "loss", "loss": "cubic"})

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from inertiabench.augmentation import AugmentationSpec
-from inertiabench.data import DatasetDescriptor
+from inertiabench.data import (
+    DatasetDescriptor,
+    synthesize_dataset,
+    write_gt_pos_csv,
+    write_imu_csv,
+)
 from inertiabench.errors import ConfigError, DegenerateChannelError, StageError
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
@@ -23,6 +28,7 @@ from inertiabench.runner import (
     TechniqueSpec,
     _parse_technique,
     emit_outputs,
+    load_recordings,
     load_suite_config,
     parse_suite_config,
     prepare_run,
@@ -82,6 +88,36 @@ class TestRunExperiment:
         with pytest.raises(StageError) as exc:
             run_experiment(exp, 0)
         assert exc.value.stage == "preprocess"
+
+    def test_denoise_smooths_before_the_split(self):
+        # the whole recording is smoothed, then split: the first test sample
+        # averages a window that reaches back over the split boundary
+        n = 9
+        exp = tiny_experiment(
+            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(n),))))
+        raw = load_recordings(exp.dataset)[0][0].imu
+        _, test_ds, _ = prepare_run(exp, 0)
+        k = int(round((len(raw) - n + 1) * exp.train_fraction))
+        boundary = int(round(len(raw) * exp.train_fraction))
+        assert k < boundary < k + n
+        np.testing.assert_allclose(test_ds.windows[0, :, 0], raw[k:k + n].mean(axis=0),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_in_place_write_to_recording_raises(self, monkeypatch):
+        def denoise_in_place(series, n):
+            series.imu[:] = 0.0
+            return series
+
+        monkeypatch.setattr("inertiabench.runner.moving_average", denoise_in_place)
+        exp = tiny_experiment(
+            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(3),))))
+        recordings = load_recordings(exp.dataset)
+        before = recordings[0][0].imu.copy()
+        with pytest.raises(StageError) as exc:
+            run_experiment(exp, 0, recordings)
+        assert exc.value.stage == "preprocess"
+        assert isinstance(exc.value.cause, ValueError)
+        np.testing.assert_array_equal(recordings[0][0].imu, before)
 
     def test_head_technique_switches_architecture(self):
         _, _, cfg = prepare_run(tiny_experiment(TechniqueSpec("head2")), 0)
@@ -147,23 +183,54 @@ class TestRunSuite:
         again = run_suite(suite)
         assert report_to_json(reports, suite) == report_to_json(again, suite)
 
-    def test_json_identical_for_one_and_two_workers(self, suite, monkeypatch):
+    def test_recordings_loaded_once(self, suite, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        calls = []
+
+        def counting_load(ds):
+            calls.append(ds)
+            return load_recordings(ds)
+
+        monkeypatch.setattr("inertiabench.runner.load_recordings", counting_load)
+        several = replace(suite, techniques=suite.techniques + (
+            TechniqueSpec("head2"),
+            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(5),)))))
+        reports = run_suite(several)
+        assert calls == [several.dataset]
+        assert [len(r.rmse_runs) for r in reports] == [2, 2, 2, 2]
+
+    def test_json_identical_for_one_and_two_workers(self, suite, tmp_path, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         # a window longer than the recording fails every run of the second
         # technique in the preprocess stage; its StageError crosses processes
         failing = replace(suite, techniques=(
             TechniqueSpec("baseline"),
             TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(100000),)))))
-        for case in (suite, failing):
+        series, gt = synthesize_dataset("circle", duration=6.0, rate=40.0,
+                                        noise_acc=0.05, noise_gyro=0.0005, seed=1)
+        write_imu_csv(tmp_path / "imu.csv", series)
+        write_gt_pos_csv(tmp_path / "gt_pos.csv", gt)
+
+        def from_csv(imu_file):
+            return replace(suite, dataset=DatasetSpec(
+                descriptor=suite.dataset.descriptor, imu_csv=str(tmp_path / imu_file),
+                gt_pos_csv=str(tmp_path / "gt_pos.csv")))
+
+        # a recording that cannot be loaded fails every run of every
+        # technique, with one warning per run
+        for case, failed_runs in ((suite, [0, 0]), (failing, [0, 2]),
+                                  (from_csv("imu.csv"), [0, 0]),
+                                  (from_csv("missing.csv"), [2, 2])):
             docs = []
             for workers in ("1", "2"):
                 monkeypatch.setenv(WORKERS_ENV, workers)
                 assert worker_count(4) == int(workers)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     docs.append(report_to_json(run_suite(case), case))
+                assert sum(" failed: " in str(w.message) for w in caught) == sum(failed_runs)
             assert docs[0] == docs[1]
-        assert [t["failed_runs"] for t in json.loads(docs[1])["techniques"]] == [0, 2]
+            assert [t["failed_runs"] for t in json.loads(docs[0])["techniques"]] == failed_runs
 
     def test_stage_error_pickles(self):
         cause = DegenerateChannelError("fx")
