@@ -70,12 +70,10 @@ def rotate_samples(window: np.ndarray, rot: np.ndarray) -> np.ndarray:
     specific-force rows and the angular-rate rows of every sample.
     """
     window = np.asarray(window, dtype=float)
-    batched = window.ndim == 3
-    w = window if batched else window[None]
-    out = np.empty_like(w)
-    out[:, :3] = np.einsum("ij,mjt->mit", rot, w[:, :3])
-    out[:, 3:] = np.einsum("ij,mjt->mit", rot, w[:, 3:])
-    return out if batched else out[0]
+    out = np.empty_like(window)
+    out[..., :3, :] = np.einsum("ij,...jt->...it", rot, window[..., :3, :])
+    out[..., 3:, :] = np.einsum("ij,...jt->...it", rot, window[..., 3:, :])
+    return out
 
 
 def _append(ds: WindowedDataset, copies: list[np.ndarray]) -> WindowedDataset:

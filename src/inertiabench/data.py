@@ -16,6 +16,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError, DataError, ParseError, ShapeError
 
@@ -223,45 +224,33 @@ def make_windows(series: InertialSeries, descriptor: DatasetDescriptor):
     """Slice the series into (M, 6, W) windows; returns (windows, starts)."""
     w, s = descriptor.window_size, descriptor.stride
     starts = window_starts(len(series), w, s)
-    windows = np.stack([series.imu[i : i + w].T for i in starts])
-    return windows, starts
+    return sliding_window_view(series.imu, w, axis=0)[starts], starts
 
 
-def extract_labels(starts, window_size: int, aligned: AlignedTargets,
-                   target_kind: str) -> np.ndarray:
-    """Per-window regression targets from aligned ground truth.
+def window_dataset(series: InertialSeries, gt: GroundTruth,
+                   descriptor: DatasetDescriptor) -> WindowedDataset:
+    """Full windowing pipeline: align, slice, label.
 
     ``distance_xy`` is the traveled arc length of the planar track inside the
     window, ``position_xy`` the net planar displacement (end - start), and
     ``heading`` the heading at the window's last sample.
     """
-    labels = []
-    for i in starts:
-        j = i + window_size
-        if target_kind == "heading":
-            if aligned.heading is None:
-                raise CoverageError("heading targets requested but no heading GT")
-            labels.append([aligned.heading[j - 1]])
-            continue
-        if aligned.position is None:
-            raise CoverageError(f"{target_kind} targets requested but no position GT")
-        p = aligned.position[i:j, :2]
-        if target_kind == "distance_xy":
-            labels.append([float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))])
-        elif target_kind == "position_xy":
-            labels.append(p[-1] - p[0])
-        else:
-            raise ShapeError(f"unknown target kind '{target_kind}'")
-    return np.array(labels, dtype=float)
-
-
-def window_dataset(series: InertialSeries, gt: GroundTruth,
-                   descriptor: DatasetDescriptor) -> WindowedDataset:
-    """Full windowing pipeline: align, slice, label."""
     aligned = align_gt(series, gt)
     windows, starts = make_windows(series, descriptor)
-    labels = extract_labels(starts, descriptor.window_size, aligned,
-                            descriptor.target_kind)
+    w, kind = descriptor.window_size, descriptor.target_kind
+    ends = starts + w - 1
+    if kind == "heading":
+        if aligned.heading is None:
+            raise CoverageError("heading targets requested but no heading GT")
+        labels = aligned.heading[ends, None]
+    elif aligned.position is None:
+        raise CoverageError(f"{kind} targets requested but no position GT")
+    elif kind == "position_xy":
+        p = aligned.position[:, :2]
+        labels = p[ends] - p[starts]
+    else:
+        steps = np.linalg.norm(np.diff(aligned.position[:, :2], axis=0), axis=1)
+        labels = sliding_window_view(steps, w - 1)[starts].sum(axis=1, keepdims=True)
     return WindowedDataset(windows, labels, descriptor)
 
 

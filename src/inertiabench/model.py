@@ -9,11 +9,12 @@ head modes accept the same (batch, 6, window) tensors.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, ParseError, ShapeError, UsageError
 from .kernels import Adam, BiLSTM, Conv1d, ConvSpec, Dense, Dropout, DropoutSpec, MaxPool1d, ReLU
 from .losses import LossSpec, compute_loss
 
@@ -218,13 +219,28 @@ def load_checkpoint(path) -> InertialRegressor:
     """Rebuild a saved model; the archive must hold exactly its parameters.
 
     A missing, unexpected or differently shaped parameter raises UsageError
-    rather than leaving an initial value in place or broadcasting.
+    rather than leaving an initial value in place or broadcasting.  A file or
+    ``__meta__`` entry that cannot be read raises ParseError, and a model
+    config that ModelConfig rejects raises UsageError.
     """
-    with np.load(path) as archive:
-        meta = json.loads(archive["__meta__"].tobytes().decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise UsageError(f"unsupported checkpoint version {meta.get('version')}")
-        config = ModelConfig(**meta["config"])
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+    if isinstance(archive, np.ndarray):
+        raise ParseError(f"cannot read checkpoint {path}: an .npy array, not an .npz archive")
+    with archive:
+        try:
+            meta = json.loads(archive["__meta__"].tobytes().decode())
+            version, config = meta.get("version"), meta["config"]
+        except (KeyError, ValueError, AttributeError) as exc:
+            raise ParseError(f"cannot read __meta__ of checkpoint {path}: {exc!r}") from exc
+        if version != CHECKPOINT_VERSION:
+            raise UsageError(f"unsupported checkpoint version {version}")
+        try:
+            config = ModelConfig(**config)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"invalid model config in checkpoint {path}: {exc}") from exc
         model = InertialRegressor(config, np.random.default_rng(0))
         params = model.parameters()
         stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}

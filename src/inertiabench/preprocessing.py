@@ -84,8 +84,6 @@ def moving_average(series: InertialSeries, n: int) -> InertialSeries:
     DenoiseStep(n)  # validates n
     if n > len(series):
         raise ShapeError(f"window {n} exceeds series length {len(series)}")
-    if n == 1:
-        return InertialSeries(series.t.copy(), series.imu.copy())
     kernel = np.full(n, 1.0 / n)
     smoothed = np.column_stack(
         [np.convolve(series.imu[:, c], kernel, mode="valid") for c in range(6)]
@@ -149,28 +147,18 @@ def normalize(series: InertialSeries, method: str,
 
 
 def detrend_linear(window: np.ndarray) -> np.ndarray:
-    """Subtract the per-channel least-squares line from a (6, W) window.
+    """Subtract the least-squares line along the last axis.
 
-    Also accepts a batch (M, 6, W) or a single channel (W,).
+    Takes a (6, W) window, a batch (M, 6, W) or a single channel (W,).
     """
     window = np.asarray(window, dtype=float)
-    squeeze = window.ndim
-    if window.ndim == 1:
-        window = window[None, None]
-    elif window.ndim == 2:
-        window = window[None]
-    m, c, w = window.shape
+    w = window.shape[-1]
     if w < 2:
         raise ShapeError(f"window length must be >= 2, got {w}")
     t = np.arange(w, dtype=float)
     tm = t.mean()
     denom = np.sum((t - tm) ** 2)
-    xm = window.mean(axis=2, keepdims=True)
-    slope = np.sum(window * (t - tm), axis=2, keepdims=True) / denom
+    xm = window.mean(axis=-1, keepdims=True)
+    slope = np.sum(window * (t - tm), axis=-1, keepdims=True) / denom
     trend = xm + slope * (t - tm)
-    out = window - trend
-    if squeeze == 1:
-        return out[0, 0]
-    if squeeze == 2:
-        return out[0]
-    return out
+    return window - trend

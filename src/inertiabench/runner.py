@@ -9,6 +9,9 @@ share a model configuration start from identical initial weights.
 
 from __future__ import annotations
 
+import csv
+import html
+import io
 import json
 import os
 import warnings
@@ -203,6 +206,11 @@ class TechniqueSpec:
         return out
 
 
+def _check_train_fraction(fraction: float):
+    if not (0.0 < fraction < 1.0):
+        raise ConfigError(f"train fraction must be in (0, 1): {fraction}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
@@ -212,8 +220,7 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train fraction must be in (0, 1): {self.train_fraction}")
+        _check_train_fraction(self.train_fraction)
 
 
 @dataclass(frozen=True)
@@ -229,6 +236,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        _check_train_fraction(self.train_fraction)
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
 
@@ -488,15 +496,15 @@ def report_to_json(reports: list[BenchReport], suite: SuiteConfig) -> str:
 
 
 def report_to_csv(reports: list[BenchReport]) -> str:
-    lines = ["technique,mean_rmse,std_rmse,improvement_pct,failed_runs,rmse_runs"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["technique", "mean_rmse", "std_rmse", "improvement_pct",
+                     "failed_runs", "rmse_runs"])
+    fmt = lambda v: "" if v is None else repr(v)
     for r in reports:
-        runs = "|".join(repr(v) for v in r.rmse_runs)
-        fmt = lambda v: "" if v is None else repr(v)
-        lines.append(
-            f"{r.name},{fmt(r.mean)},{fmt(r.std)},{fmt(r.improvement_pct)},"
-            f"{r.failed_runs},{runs}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.name, fmt(r.mean), fmt(r.std), fmt(r.improvement_pct),
+                         r.failed_runs, "|".join(repr(v) for v in r.rmse_runs)])
+    return out.getvalue()
 
 
 def render_improvement_svg(reports: list[BenchReport]) -> str:
@@ -527,7 +535,7 @@ def render_improvement_svg(reports: list[BenchReport]) -> str:
         parts.append(f'<text x="{x + bar_w / 2}" y="{height + 2 * margin - 10}" '
                      f'text-anchor="middle" font-size="10" '
                      f'transform="rotate(-30 {x + bar_w / 2} '
-                     f'{height + 2 * margin - 10})">{name}</text>')
+                     f'{height + 2 * margin - 10})">{html.escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

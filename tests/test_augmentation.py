@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inertiabench.augmentation import (
+    ROTATION_NAMES,
     AugmentationSpec,
     augment_bias,
     augment_noise,
@@ -58,6 +59,14 @@ class TestRotateSamples:
         out = rotate_samples(w, rotation_matrix("T1"))
         np.testing.assert_allclose(out[:3, 0], [0.8660, -0.5, 0.0], atol=1e-4)
         np.testing.assert_allclose(out[3:, 0], [0.5, 0.8660, 0.0], atol=1e-4)
+
+    @pytest.mark.parametrize("name", ROTATION_NAMES)
+    def test_batch_matches_per_window(self, name):
+        batch = np.random.default_rng(3).normal(size=(5, 6, 17))
+        out = rotate_samples(batch, rotation_matrix(name))
+        assert out.shape == batch.shape
+        for m in range(5):
+            np.testing.assert_array_equal(out[m], rotate_samples(batch[m], rotation_matrix(name)))
 
 
 class TestRotationAugment:

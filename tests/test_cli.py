@@ -196,7 +196,13 @@ class TestOneLineErrors:
                                       "invalid-report", "report-to-json",
                                       "unknown-format", "unknown-loss-kind",
                                       "distance-without-gt-pos",
-                                      "heading-without-gt-heading"])
+                                      "heading-without-gt-heading",
+                                      "checkpoint-without-meta",
+                                      "checkpoint-unknown-config-key",
+                                      "checkpoint-not-an-archive",
+                                      "checkpoint-truncated",
+                                      "checkpoint-empty",
+                                      "checkpoint-npy-array"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -220,6 +226,25 @@ class TestOneLineErrors:
             monkeypatch.setattr("inertiabench.cli.run_suite", no_run)
             argv = ["bench", "--config", str(config_path), "--out-dir", out,
                     "--formats", "json,cvs"]
+        elif case.startswith("checkpoint-"):
+            ckpt = tmp_path / "model.npz"
+            if case == "checkpoint-without-meta":
+                np.savez(ckpt, **{"param/fc.b": np.zeros(8)})
+            elif case == "checkpoint-unknown-config-key":
+                meta = json.dumps({"version": 1, "config": {"filters": 4}}).encode()
+                np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8))
+            elif case == "checkpoint-not-an-archive":
+                ckpt.write_text("not a checkpoint\n")
+            elif case == "checkpoint-truncated":
+                np.savez(ckpt, __meta__=np.zeros(1000, dtype=np.uint8))
+                ckpt.write_bytes(ckpt.read_bytes()[:100])
+            elif case == "checkpoint-empty":
+                ckpt.write_bytes(b"")
+            else:
+                with open(ckpt, "wb") as fh:
+                    np.save(fh, np.zeros(3))
+            argv = ["eval", "--config", str(config_path), "--technique", "head2",
+                    "--checkpoint", str(ckpt)]
         elif case in ("distance-without-gt-pos", "heading-without-gt-heading"):
             # the ground-truth file the target kind needs is checked at parse time
             doc = json.loads(json.dumps(TINY_CONFIG))

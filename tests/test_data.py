@@ -136,6 +136,22 @@ class TestWindowing:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_labels(starts, window_size, aligned, target_kind):
+    """Per-window loop the vectorized labels must match bit for bit."""
+    labels = []
+    for i in starts:
+        j = i + window_size
+        if target_kind == "heading":
+            labels.append([aligned.heading[j - 1]])
+            continue
+        p = aligned.position[i:j, :2]
+        if target_kind == "distance_xy":
+            labels.append([float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))])
+        else:
+            labels.append(p[-1] - p[0])
+    return np.array(labels, dtype=float)
+
+
 class TestLabels:
     def test_straight_line_distance(self):
         series, gt = synthesize_dataset("line", duration=2.0, rate=120.0,
@@ -184,6 +200,31 @@ class TestLabels:
         gt_rot = GroundTruth(gt.t, position=gt.position @ rot.T, heading=gt.heading)
         rotated = window_dataset(series, gt_rot, desc)
         np.testing.assert_allclose(rotated.labels, base.labels, atol=1e-9)
+
+    @pytest.mark.parametrize("target_kind", ["distance_xy", "position_xy", "heading"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("window", [1, 2, 7, None])
+    def test_bitwise_equal_to_loop(self, target_kind, stride, window):
+        series, gt = synthesize_dataset("sinusoid", duration=1.0, rate=60.0, gt_rate=25.0)
+        window = window or len(series)
+        desc = DatasetDescriptor("d", 60.0, window, stride, target_kind)
+        ds = window_dataset(series, gt, desc)
+        starts = window_starts(len(series), window, stride)
+        expected = reference_labels(starts, window, align_gt(series, gt), target_kind)
+        assert ds.labels.shape == expected.shape == (len(starts), desc.label_dim)
+        np.testing.assert_array_equal(ds.labels, expected)
+
+    @pytest.mark.parametrize("target_kind, gt_kind, message", [
+        ("heading", "position", "heading targets requested but no heading GT"),
+        ("distance_xy", "heading", "distance_xy targets requested but no position GT"),
+        ("position_xy", "heading", "position_xy targets requested but no position GT"),
+    ])
+    def test_missing_ground_truth(self, target_kind, gt_kind, message):
+        series, gt = synthesize_dataset("circle", duration=1.0, rate=60.0)
+        gt = GroundTruth(gt.t, **{gt_kind: getattr(gt, gt_kind)})
+        desc = DatasetDescriptor("d", 60.0, 20, 10, target_kind)
+        with pytest.raises(CoverageError, match=f"^{message}$"):
+            window_dataset(series, gt, desc)
 
 
 class TestSynthesizer:

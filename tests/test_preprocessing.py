@@ -140,7 +140,9 @@ class TestDetrend:
         batch = rng.normal(size=(4, 6, 12))
         out = detrend_linear(batch)
         for m in range(4):
-            np.testing.assert_allclose(out[m], detrend_linear(batch[m]))
+            np.testing.assert_array_equal(out[m], detrend_linear(batch[m]))
+            for c in range(6):
+                np.testing.assert_array_equal(out[m, c], detrend_linear(batch[m, c]))
 
     def test_too_short_window(self):
         with pytest.raises(ShapeError):

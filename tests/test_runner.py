@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pickle
 import warnings
@@ -298,6 +300,22 @@ class TestEmitOutputs:
         assert "-5.0%" in svg
         assert svg.count("<rect") == 2
 
+    def test_labels_escaped_in_csv_and_svg(self):
+        from xml.dom import minidom
+
+        from inertiabench.runner import BenchReport, render_improvement_svg, report_to_csv
+
+        name = 'base,"quoted" <line> & more'
+        reports = [BenchReport(name, {}, [1.0, 2.0], 0, 1.5, 0.5, 0.0),
+                   BenchReport("plain", {}, [1.0], 1, None, None, None)]
+        rows = list(csv.reader(io.StringIO(report_to_csv(reports))))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[1][0] == name and rows[1][5] == "1.0|2.0"
+        assert rows[2] == ["plain", "", "", "", "1", "1.0"]
+        doc = minidom.parseString(render_improvement_svg(reports))
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert name in labels
+
 
 CONFIG_DOC = {
     "dataset": {
@@ -416,6 +434,7 @@ class TestConfigParsing:
         ("train", {"loss": "cubic"}, "invalid train"),
         ("segment", {"kind": "circle", "params": {"radius": 2.0, "spin": 1.0}},
          r"dataset\.synthetic\[0\]\.params"),
+        ("suite", {"train_fraction": 1.5}, "invalid suite"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
