@@ -31,7 +31,6 @@ def numerical_grad(f, x, h=1e-5):
 def check(name, layer, x, target, loss):
     out = layer.forward(x)
     _, gout = compute_loss(loss, target, out)
-    layer.zero_grad()
     layer.backward(gout)
 
     def loss_value():

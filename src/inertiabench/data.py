@@ -21,8 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CoverageError, DataError, ParseError, ShapeError
 
 CHANNELS = ("fx", "fy", "fz", "wx", "wy", "wz")
-ACC_CHANNELS = slice(0, 3)
-GYRO_CHANNELS = slice(3, 6)
 GRAVITY = 9.80665
 
 TARGET_KINDS = ("distance_xy", "position_xy", "heading")

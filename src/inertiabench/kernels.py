@@ -2,9 +2,9 @@
 
 Layers operate on batched float64 arrays shaped ``(batch, channels, steps)``
 or ``(batch, features)``.  Each layer caches whatever its backward pass needs
-during ``forward``; parameter gradients accumulate into ``grads`` until
-``zero_grad`` is called.  All randomness comes from explicitly passed
-``numpy.random.Generator`` instances.
+during ``forward``; each ``backward`` sets ``grads`` to the gradients of
+that call alone (nothing accumulates across calls).  All randomness comes
+from explicitly passed ``numpy.random.Generator`` instances.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ class DropoutSpec:
             raise ShapeError(f"dropout rate must be in [0, 1): {self.rate}")
 
 
+def _lstm_shapes(input_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each BiLSTM parameter, in initialization order."""
+    g = 4 * hidden_size
+    per_direction = {"wx": (g, input_size), "wh": (g, hidden_size), "b": (g,)}
+    return {f"{d}_{name}": shape for d in ("fwd", "bwd")
+            for name, shape in per_direction.items()}
+
+
 @dataclass
 class LstmParams:
     """Gate weights for one bidirectional LSTM layer.
@@ -69,29 +77,12 @@ class LstmParams:
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "LstmParams":
-        g = 4 * hidden_size
-        return cls(
-            input_size,
-            hidden_size,
-            np.zeros((g, input_size)),
-            np.zeros((g, hidden_size)),
-            np.zeros(g),
-            np.zeros((g, input_size)),
-            np.zeros((g, hidden_size)),
-            np.zeros(g),
-        )
+        return cls(input_size, hidden_size,
+                   **{name: np.zeros(shape)
+                      for name, shape in _lstm_shapes(input_size, hidden_size).items()})
 
     def validate(self):
-        g = 4 * self.hidden_size
-        shapes = {
-            "fwd_wx": (g, self.input_size),
-            "fwd_wh": (g, self.hidden_size),
-            "fwd_b": (g,),
-            "bwd_wx": (g, self.input_size),
-            "bwd_wh": (g, self.hidden_size),
-            "bwd_b": (g,),
-        }
-        for name, shape in shapes.items():
+        for name, shape in _lstm_shapes(self.input_size, self.hidden_size).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -126,20 +117,11 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def zero_grad(self):
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
-
     def forward(self, x, train=False, rng=None):
         raise NotImplementedError
 
     def backward(self, gout):
         raise NotImplementedError
-
-    def _accum(self, name, value):
-        if name not in self.grads:
-            self.grads[name] = np.zeros_like(self.params[name])
-        self.grads[name] += value
 
 
 def _init_uniform(rng, shape, fan_in):
@@ -207,8 +189,8 @@ class Conv1d(Layer):
         for i, (xi, gxi) in enumerate(zip(self._taps(x, t_out), self._taps(gx, t_out))):
             gw[:, :, i] = np.matmul(gout, xi.transpose(0, 2, 1)).sum(axis=0)
             gxi += w[:, :, i].T @ gout
-        self._accum("w", gw)
-        self._accum("b", gout.sum(axis=(0, 2)))
+        self.grads["w"] = gw
+        self.grads["b"] = gout.sum(axis=(0, 2))
         return gx
 
 
@@ -280,22 +262,18 @@ class BiLSTM(Layer):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        g = 4 * hidden_size
-        for d in ("fwd", "bwd"):
-            if rng is None:
-                self.params[f"{d}_wx"] = np.zeros((g, input_size))
-                self.params[f"{d}_wh"] = np.zeros((g, hidden_size))
-            else:
-                self.params[f"{d}_wx"] = _init_uniform(rng, (g, input_size), input_size)
-                self.params[f"{d}_wh"] = _init_uniform(rng, (g, hidden_size), hidden_size)
-            self.params[f"{d}_b"] = np.zeros(g)
+        for name, shape in _lstm_shapes(input_size, hidden_size).items():
+            if rng is None or name.endswith("_b"):
+                self.params[name] = np.zeros(shape)
+            else:  # a weight's fan-in is its column count
+                self.params[name] = _init_uniform(rng, shape, shape[1])
         self._cache = None
 
     @classmethod
     def from_params(cls, p: LstmParams) -> "BiLSTM":
         p.validate()
         layer = cls(p.input_size, p.hidden_size)
-        for name in ("fwd_wx", "fwd_wh", "fwd_b", "bwd_wx", "bwd_wh", "bwd_b"):
+        for name in layer.params:
             layer.params[name] = np.array(getattr(p, name), dtype=float)
         return layer
 
@@ -415,10 +393,9 @@ class BiLSTM(Layer):
         gw = np.matmul(dz.transpose(0, 2, 1), xh[:, :t].reshape(2, t * b, 1 + c + h))
         del xh, cs  # release the rest of the cache before the input gradient
         for d, direction in enumerate(("fwd", "bwd")):
-            self._accum(f"{direction}_b", gw[d, :, 0])
-            self._accum(f"{direction}_wx", gw[d, :, 1 : 1 + c])
-            self._accum(f"{direction}_wh", gw[d, :, 1 + c :])
-        del gw
+            self.grads[f"{direction}_b"] = gw[d, :, 0]
+            self.grads[f"{direction}_wx"] = gw[d, :, 1 : 1 + c]
+            self.grads[f"{direction}_wh"] = gw[d, :, 1 + c :]
         # input gradient: one GEMM per direction, summed in natural time order
         gx = np.matmul(dz[0], self.params["fwd_wx"]).reshape(t, b, c)
         gx += np.matmul(dz[1], self.params["bwd_wx"]).reshape(t, b, c)[::-1]
@@ -474,8 +451,8 @@ class Dense(Layer):
     def backward(self, gout):
         if self._x is None:
             raise UsageError("backward called before forward")
-        self._accum("w", self._x.T @ gout)
-        self._accum("b", gout.sum(axis=0))
+        self.grads["w"] = self._x.T @ gout
+        self.grads["b"] = gout.sum(axis=0)
         return gout @ self.params["w"].T
 
 

@@ -107,10 +107,6 @@ class InertialRegressor:
                 for prefix, layer in self._layers()
                 for name, arr in layer.grads.items()}
 
-    def zero_grad(self):
-        for _, layer in self._layers():
-            layer.zero_grad()
-
     def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[1] != 6:
@@ -161,16 +157,15 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.001
     loss: LossSpec = field(default_factory=LossSpec)
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ShapeError(f"invalid training config: {self}")
 
 
-def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels,
-                shuffle_rng: np.random.Generator | None = None,
-                dropout_rng: np.random.Generator | None = None) -> list[float]:
+def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels, *,
+                shuffle_rng: np.random.Generator,
+                dropout_rng: np.random.Generator) -> list[float]:
     """Mini-batch Adam training; returns the per-epoch mean loss curve.
 
     Raises NumericError and aborts if the loss goes non-finite.
@@ -181,8 +176,6 @@ def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels,
         raise UsageError("cannot train on an empty dataset")
     if len(windows) != len(labels):
         raise ShapeError("window/label count mismatch")
-    shuffle_rng = shuffle_rng or np.random.default_rng(tc.seed)
-    dropout_rng = dropout_rng or np.random.default_rng(tc.seed + 1)
     opt = Adam(lr=tc.learning_rate)
     curve = []
     n = len(windows)
@@ -195,7 +188,6 @@ def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels,
             value, grad = compute_loss(tc.loss, labels[idx], pred)
             if not np.isfinite(value):
                 raise NumericError(f"training loss became non-finite ({value})")
-            model.zero_grad()
             model.backward(grad)
             opt.step(model.parameters(), model.gradients())
             total += value * len(idx)
@@ -223,13 +215,14 @@ def load_checkpoint(path) -> InertialRegressor:
     ``__meta__`` entry that cannot be read raises ParseError, and a model
     config that ModelConfig rejects raises UsageError.
     """
-    try:
-        archive = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
-    if isinstance(archive, np.ndarray):
-        raise ParseError(f"cannot read checkpoint {path}: an .npy array, not an .npz archive")
-    with archive:
+    # np.load(path) would leave the file open when it cannot read the archive
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+        if isinstance(archive, np.ndarray):
+            raise ParseError(f"cannot read checkpoint {path}: an .npy array, not an .npz archive")
         try:
             meta = json.loads(archive["__meta__"].tobytes().decode())
             version, config = meta.get("version"), meta["config"]

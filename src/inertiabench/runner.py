@@ -34,7 +34,7 @@ from .data import (
     synthesize_dataset,
     window_dataset,
 )
-from .errors import ConfigError, ShapeError, StageError, UsageError
+from .errors import ConfigError, DataError, ShapeError, StageError, UsageError
 from .losses import LossSpec, improvement_pct, metric_rmse
 from .model import ModelConfig, TrainConfig, build_model, train_model
 from .preprocessing import (
@@ -81,6 +81,10 @@ class DatasetSpec:
     gt_heading_csv: str | None = None
 
     def __post_init__(self):
+        for seg in self.synthetic:
+            if seg.rate != self.descriptor.sampling_rate:
+                raise ConfigError(f"synthetic segment rate {seg.rate} Hz differs from the "
+                                  f"descriptor's sampling rate {self.descriptor.sampling_rate} Hz")
         if self.synthetic:
             return
         if self.imu_csv is None:
@@ -292,6 +296,11 @@ def load_recordings(ds: DatasetSpec) -> list[tuple[InertialSeries, GroundTruth]]
         # a segment's fields are synthesize_dataset's arguments
         return [synthesize_dataset(**vars(seg)) for seg in ds.synthetic]
     series = parse_imu_csv(ds.imu_csv)
+    expected = ds.descriptor.sampling_rate
+    rate = 1.0 / np.median(np.diff(series.t)) if len(series) > 1 else 0.0
+    if abs(rate - expected) > 0.01 * expected:
+        raise DataError(f"{ds.imu_csv} is sampled at {rate:.6g} Hz, but the descriptor's "
+                        f"sampling rate is {expected} Hz")
     if ds.descriptor.target_kind == "heading":
         gt = parse_gt_heading_csv(ds.gt_heading_csv)
     else:
@@ -649,19 +658,16 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
                    decode={"params": lambda p, pc: _build(SynthParams, p, pc)})
             for i, s in enumerate(v)),
     })
-    train = dict(_section(doc.get("train", {}), "train"))
-    loss = _build(LossSpec, {k: train.pop(k) for k in LOSS_KEYS if k in train},
-                  "train", LOSS_KEYS)
     techniques = tuple(_parse_technique(t, f"techniques[{i}]")
                        for i, t in enumerate(doc["techniques"]))
     return _build(
         SuiteConfig, doc.get("suite", {}), "suite", dataset=dataset,
         techniques=techniques,
+        # head mode and loss come from techniques only, so the baseline is
+        # always the single-head network trained with MSE
         model=_build(ModelConfig, doc.get("model", {}), "model",
-                     _keys(ModelConfig, "output_dim")),
-        # no train.seed: every run draws from its own seeded generators
-        train=_build(TrainConfig, train, "train", _keys(TrainConfig, "loss", "seed"),
-                     loss=loss))
+                     _keys(ModelConfig, "output_dim", "head_mode")),
+        train=_build(TrainConfig, doc.get("train", {}), "train", _keys(TrainConfig, "loss")))
 
 
 def load_suite_config(path) -> SuiteConfig:

@@ -42,7 +42,6 @@ def check_layer_grads(make_layer, x, loss_spec, target, h=1e-5):
 
     out = layer.forward(x)
     _, gout = compute_loss(loss_spec, target, out)
-    layer.zero_grad()
     gin = layer.backward(gout)
 
     worst = 0.0

@@ -110,7 +110,6 @@ def traced_peak(fn, *args):
 
 def run_layer(layer, x, gout):
     out = layer.forward(x)
-    layer.zero_grad()
     gx = layer.backward(gout)
     return out, layer.grads, gx
 
@@ -224,6 +223,5 @@ def test_bilstm_step_needs_no_more_memory_than_reference(inputs, steps):
     layer = BiLSTM(inputs, 128, rng)
     x = rng.normal(size=(64, inputs, steps))
     gout = rng.normal(size=(64, 256, steps))
-    layer.zero_grad()
     ref = traced_peak(ref_bilstm, layer.params, x, gout)
     assert traced_peak(run_layer, layer, x, gout) <= ref

@@ -7,6 +7,7 @@ from inertiabench.kernels import (
     BiLSTM,
     Conv1d,
     ConvSpec,
+    Dense,
     DenseParams,
     Dropout,
     DropoutSpec,
@@ -147,6 +148,19 @@ class TestBiLstm:
         with pytest.raises(ShapeError):
             BiLSTM(2, 3).forward(np.zeros((1, 4, 5)))
 
+    def test_init_draw_order(self):
+        # the weights take uniform +-1/sqrt(fan_in) draws in the order
+        # fwd_wx, fwd_wh, bwd_wx, bwd_wh; the biases start at zero
+        i, h = 3, 4
+        layer = BiLSTM(i, h, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        for d in ("fwd", "bwd"):
+            for name, fan_in in (("wx", i), ("wh", h)):
+                bound = 1.0 / np.sqrt(fan_in)
+                want = rng.uniform(-bound, bound, size=(4 * h, fan_in))
+                np.testing.assert_array_equal(layer.params[f"{d}_{name}"], want)
+            np.testing.assert_array_equal(layer.params[f"{d}_b"], np.zeros(4 * h))
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
@@ -241,6 +255,25 @@ class TestAdam:
 
 
 class TestLayerDeterminism:
+    @pytest.mark.parametrize("make, in_shape, out_shape", [
+        (lambda rng: Dense(5, 3, rng), (4, 5), (4, 3)),
+        (lambda rng: Conv1d(ConvSpec(2, 3, 4), rng), (4, 2, 9), (4, 3, 6)),
+        (lambda rng: BiLSTM(2, 3, rng), (4, 2, 6), (4, 6, 6)),
+    ], ids=["dense", "conv", "bilstm"])
+    def test_backward_sets_only_its_own_gradients(self, make, in_shape, out_shape):
+        data = np.random.default_rng(22)
+        x1, x2 = data.normal(size=in_shape), data.normal(size=in_shape)
+        g1, g2 = data.normal(size=out_shape), data.normal(size=out_shape)
+        twice, once = make(np.random.default_rng(23)), make(np.random.default_rng(23))
+        for x, g in ((x1, g1), (x2, g2)):
+            twice.forward(x)
+            twice.backward(g)
+        once.forward(x2)
+        once.backward(g2)
+        assert set(twice.grads) == set(twice.params)
+        for name in twice.params:
+            np.testing.assert_array_equal(twice.grads[name], once.grads[name])
+
     def test_seeded_init_reproducible(self):
         a = Conv1d(ConvSpec(2, 3, 4), np.random.default_rng(13))
         b = Conv1d(ConvSpec(2, 3, 4), np.random.default_rng(13))

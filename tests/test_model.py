@@ -101,7 +101,7 @@ class TestTraining:
         model = build_model(SMALL, rng(11))
         with pytest.raises(UsageError):
             train_model(model, TrainConfig(epochs=1), np.zeros((0, 6, 20)),
-                        np.zeros((0, 1)))
+                        np.zeros((0, 1)), shuffle_rng=rng(0), dropout_rng=rng(1))
 
     def test_deterministic_loss_curve(self):
         data_rng = np.random.default_rng(12)
@@ -110,7 +110,8 @@ class TestTraining:
         curves = []
         for _ in range(2):
             model = build_model(SMALL, rng(13))
-            curves.append(train_model(model, TrainConfig(epochs=3, seed=5), x, y))
+            curves.append(train_model(model, TrainConfig(epochs=3), x, y,
+                                      shuffle_rng=rng(5), dropout_rng=rng(6)))
         assert curves[0] == curves[1]
 
     def test_loss_decreases_on_memorizable_set(self):
@@ -118,7 +119,8 @@ class TestTraining:
         x = data_rng.normal(size=(8, 6, 20))
         y = data_rng.uniform(0.0, 1.0, size=(8, 1))
         model = build_model(SMALL, rng(15))
-        curve = train_model(model, TrainConfig(epochs=60, seed=1), x, y)
+        curve = train_model(model, TrainConfig(epochs=60), x, y,
+                            shuffle_rng=rng(1), dropout_rng=rng(2))
         assert curve[-1] < curve[0]
 
     def test_nan_loss_aborts(self):
@@ -126,7 +128,8 @@ class TestTraining:
         x = np.random.default_rng(17).normal(size=(4, 6, 20))
         y = np.full((4, 1), np.nan)
         with pytest.raises(NumericError):
-            train_model(model, TrainConfig(epochs=1), x, y)
+            train_model(model, TrainConfig(epochs=1), x, y,
+                        shuffle_rng=rng(0), dropout_rng=rng(1))
 
     def test_gradient_flow_through_full_model(self):
         # every parameter must receive a gradient after one backward pass
@@ -136,7 +139,6 @@ class TestTraining:
         from inertiabench.losses import compute_loss
 
         _, g = compute_loss(LossSpec("mse"), np.ones_like(pred), pred)
-        model.zero_grad()
         model.backward(g)
         grads = model.gradients()
         nonzero = [k for k, v in grads.items() if np.any(v != 0)]

@@ -11,11 +11,12 @@ import pytest
 from inertiabench.augmentation import AugmentationSpec
 from inertiabench.data import (
     DatasetDescriptor,
+    InertialSeries,
     synthesize_dataset,
     write_gt_pos_csv,
     write_imu_csv,
 )
-from inertiabench.errors import ConfigError, DegenerateChannelError, StageError
+from inertiabench.errors import ConfigError, DataError, DegenerateChannelError, StageError
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
 from inertiabench.preprocessing import DenoiseStep, DetrendStep, NormalizeStep, PreprocSpec
@@ -234,6 +235,36 @@ class TestRunSuite:
             assert docs[0] == docs[1]
             assert [t["failed_runs"] for t in json.loads(docs[0])["techniques"]] == failed_runs
 
+    def test_descriptor_rate_must_match_the_data(self, suite, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        desc = suite.dataset.descriptor  # 40 Hz, like the tiny segments
+        with pytest.raises(ConfigError, match="sampling rate 120.0 Hz"):
+            DatasetSpec(descriptor=replace(desc, sampling_rate=120.0),
+                        synthetic=suite.dataset.synthetic)
+
+        series, gt = synthesize_dataset("circle", duration=6.0, rate=40.0, seed=1)
+        write_imu_csv(tmp_path / "imu.csv", series)
+        write_gt_pos_csv(tmp_path / "gt_pos.csv", gt)
+
+        def from_csv(rate, imu_file="imu.csv"):
+            return DatasetSpec(descriptor=replace(desc, sampling_rate=rate),
+                               imu_csv=str(tmp_path / imu_file),
+                               gt_pos_csv=str(tmp_path / "gt_pos.csv"))
+
+        assert len(load_recordings(from_csv(40.3))) == 1  # within 1%
+        with pytest.raises(DataError, match="sampled at 40 Hz"):
+            load_recordings(from_csv(40.5))
+        write_imu_csv(tmp_path / "one.csv", InertialSeries(series.t[:1], series.imu[:1]))
+        with pytest.raises(DataError, match="sampled at 0 Hz"):  # one sample has no rate
+            load_recordings(from_csv(40.0, "one.csv"))
+        # like any unloadable recording, a mismatch fails every run in parse
+        mismatched = replace(suite, dataset=from_csv(50.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_suite(mismatched)
+        assert [r.failed_runs for r in reports] == [2, 2]
+        assert all("[parse]" in str(w.message) for w in caught) and len(caught) == 4
+
     def test_stage_error_pickles(self):
         cause = DegenerateChannelError("fx")
         err = pickle.loads(pickle.dumps(StageError("preprocess", cause)))
@@ -285,7 +316,8 @@ class TestEmitOutputs:
     def test_csv_row_count(self, tmp_path):
         reports, suite = self.make_reports()
         paths = emit_outputs(reports, suite, tmp_path)
-        lines = open(paths["csv"]).read().strip().split("\n")
+        with open(paths["csv"]) as fh:
+            lines = fh.read().strip().split("\n")
         assert len(lines) == len(reports) + 1
 
     def test_svg_signed_bars(self):
@@ -431,10 +463,13 @@ class TestConfigParsing:
         ("model", {"conv_filters": "many"}, "invalid model"),
         ("suite", {"repetitions": 0}, "invalid suite"),
         ("train", {"seed": 3}, r"unknown key\(s\) \['seed'\] in train"),
-        ("train", {"loss": "cubic"}, "invalid train"),
+        ("train", {"loss": "cubic"}, r"unknown key\(s\) \['loss'\] in train"),
         ("segment", {"kind": "circle", "params": {"radius": 2.0, "spin": 1.0}},
          r"dataset\.synthetic\[0\]\.params"),
         ("suite", {"train_fraction": 1.5}, "invalid suite"),
+        # only techniques set the head mode and the loss
+        ("model", {"head_mode": "head2"}, "unknown key"),
+        ("train", {"delta": 0.5}, "unknown key"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
