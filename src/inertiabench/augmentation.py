@@ -78,7 +78,7 @@ def rotate_samples(window: np.ndarray, rot: np.ndarray) -> np.ndarray:
 
 def _append(ds: WindowedDataset, copies: list[np.ndarray]) -> WindowedDataset:
     windows = np.concatenate([ds.windows] + copies, axis=0)
-    labels = np.concatenate([ds.labels] + [ds.labels.copy() for _ in copies], axis=0)
+    labels = np.concatenate([ds.labels] * (1 + len(copies)), axis=0)
     return WindowedDataset(windows, labels, ds.descriptor)
 
 

@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields
 
 from .data import (
+    TRAJECTORY_KINDS,
     SynthParams,
     synthesize_dataset,
     write_gt_heading_csv,
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic dataset to CSV")
-    p.add_argument("--kind", choices=("line", "circle", "sinusoid"), required=True)
+    p.add_argument("--kind", choices=TRAJECTORY_KINDS, required=True)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--rate", type=float, default=120.0)
     p.add_argument("--gt-rate", type=float, default=None)

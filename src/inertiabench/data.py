@@ -24,6 +24,7 @@ CHANNELS = ("fx", "fy", "fz", "wx", "wy", "wz")
 GRAVITY = 9.80665
 
 TARGET_KINDS = ("distance_xy", "position_xy", "heading")
+TRAJECTORY_KINDS = ("line", "circle", "sinusoid")
 
 
 @dataclass
@@ -68,16 +69,11 @@ class GroundTruth:
             self.heading = np.asarray(self.heading, dtype=float)
             if self.heading.shape != (self.t.size,):
                 raise ShapeError(f"heading must be ({self.t.size},)")
+        if not all(np.all(np.isfinite(a)) for a in (self.t, self.position, self.heading)
+                   if a is not None):
+            raise DataError("ground truth contains non-finite values")
         if self.t.size > 1 and np.any(np.diff(self.t) <= 0):
             raise DataError("ground-truth timestamps are not strictly increasing")
-
-
-@dataclass
-class AlignedTargets:
-    """Ground truth interpolated at IMU timestamps."""
-
-    position: np.ndarray | None = None  # (N, 3)
-    heading: np.ndarray | None = None  # (N,)
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ def write_gt_heading_csv(path, gt: GroundTruth):
 # alignment and windowing
 
 
-def align_gt(series: InertialSeries, gt: GroundTruth) -> AlignedTargets:
+def align_gt(series: InertialSeries, gt: GroundTruth) -> GroundTruth:
     """Interpolate ground truth at every IMU timestamp.
 
     Positions interpolate linearly per axis; heading interpolates along the
@@ -199,16 +195,13 @@ def align_gt(series: InertialSeries, gt: GroundTruth) -> AlignedTargets:
             f"IMU time range [{t[0]}, {t[-1]}] outside ground truth "
             f"[{gt.t[0]}, {gt.t[-1]}]"
         )
-    out = AlignedTargets()
+    position = heading = None
     if gt.position is not None:
-        out.position = np.column_stack(
-            [np.interp(t, gt.t, gt.position[:, i]) for i in range(3)]
-        )
+        position = np.column_stack([np.interp(t, gt.t, gt.position[:, i]) for i in range(3)])
     if gt.heading is not None:
-        unwrapped = np.unwrap(gt.heading)
-        yaw = np.interp(t, gt.t, unwrapped)
-        out.heading = np.mod(yaw + np.pi, 2 * np.pi) - np.pi
-    return out
+        yaw = np.interp(t, gt.t, np.unwrap(gt.heading))
+        heading = np.mod(yaw + np.pi, 2 * np.pi) - np.pi
+    return GroundTruth(t, position, heading)
 
 
 def window_starts(n_samples: int, window_size: int, stride: int) -> np.ndarray:

@@ -111,20 +111,21 @@ class DenseParams:
 
 
 class Layer:
-    """Base class: parameter/gradient dicts plus forward/backward."""
+    """Base class: parameter and gradient dicts.
+
+    Each layer defines ``forward(x)`` and ``backward(gout)``; only
+    ``Dropout.forward`` also takes ``train`` and ``rng``.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def forward(self, x, train=False, rng=None):
-        raise NotImplementedError
-
-    def backward(self, gout):
-        raise NotImplementedError
-
 
 def _init_uniform(rng, shape, fan_in):
+    """Uniform +-1/sqrt(fan_in) draws from ``rng``; zeros when it is None."""
+    if rng is None:
+        return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -140,11 +141,8 @@ class Conv1d(Layer):
     def __init__(self, spec: ConvSpec, rng: np.random.Generator | None = None):
         super().__init__()
         self.spec = spec
-        shape = (spec.filters, spec.in_channels, spec.kernel)
-        if rng is None:
-            self.params["w"] = np.zeros(shape)
-        else:
-            self.params["w"] = _init_uniform(rng, shape, spec.in_channels * spec.kernel)
+        self.params["w"] = _init_uniform(rng, (spec.filters, spec.in_channels, spec.kernel),
+                                         spec.in_channels * spec.kernel)
         self.params["b"] = np.zeros(spec.filters)
         self._cache = None
 
@@ -153,7 +151,7 @@ class Conv1d(Layer):
         s = self.spec.stride
         return [x[:, :, i : i + s * (t_out - 1) + 1 : s] for i in range(self.spec.kernel)]
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.spec.in_channels:
             raise ShapeError(
                 f"expected (B, {self.spec.in_channels}, T) input, got {x.shape}"
@@ -199,7 +197,7 @@ class ReLU(Layer):
         super().__init__()
         self._mask = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
@@ -219,7 +217,7 @@ class MaxPool1d(Layer):
         self.depth = depth
         self._cache = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x):
         d = self.depth
         b, c, t = x.shape
         if d > t:
@@ -263,10 +261,9 @@ class BiLSTM(Layer):
         self.input_size = input_size
         self.hidden_size = hidden_size
         for name, shape in _lstm_shapes(input_size, hidden_size).items():
-            if rng is None or name.endswith("_b"):
-                self.params[name] = np.zeros(shape)
-            else:  # a weight's fan-in is its column count
-                self.params[name] = _init_uniform(rng, shape, shape[1])
+            # biases start at zero; a weight's fan-in is its column count
+            self.params[name] = (np.zeros(shape) if name.endswith("_b")
+                                 else _init_uniform(rng, shape, shape[1]))
         self._cache = None
 
     @classmethod
@@ -285,7 +282,7 @@ class BiLSTM(Layer):
             for d in ("fwd", "bwd")
         ])
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.input_size:
             raise ShapeError(f"expected (B, {self.input_size}, T) input, got {x.shape}")
         self._cache = None  # free the previous step's cache before building this one
@@ -433,14 +430,11 @@ class Dense(Layer):
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None):
         super().__init__()
-        if rng is None:
-            self.params["w"] = np.zeros((n_in, n_out))
-        else:
-            self.params["w"] = _init_uniform(rng, (n_in, n_out), n_in)
+        self.params["w"] = _init_uniform(rng, (n_in, n_out), n_in)
         self.params["b"] = np.zeros(n_out)
         self._x = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
             raise ShapeError(
                 f"expected (B, {self.params['w'].shape[0]}) input, got {x.shape}"

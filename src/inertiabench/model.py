@@ -97,15 +97,15 @@ class InertialRegressor:
         yield "fc", self.fc
         yield "head", self.head
 
+    def _named(self, attr: str) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": arr for prefix, layer in self._layers()
+                for name, arr in getattr(layer, attr).items()}
+
     def parameters(self) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": arr
-                for prefix, layer in self._layers()
-                for name, arr in layer.params.items()}
+        return self._named("params")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        return {f"{prefix}.{name}": arr
-                for prefix, layer in self._layers()
-                for name, arr in layer.grads.items()}
+        return self._named("grads")
 
     def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=float)
@@ -125,9 +125,7 @@ class InertialRegressor:
         return self.head.forward(out)
 
     def backward(self, gout):
-        if self._summary_shape is None:
-            raise UsageError("backward called before forward")
-        g = self.head.backward(gout)
+        g = self.head.backward(gout)  # raises UsageError before any forward
         g = self.fc.backward(self.fc_act.backward(g))
         g = self.drop.backward(g)
         hidden = self.config.lstm_hidden
@@ -210,10 +208,10 @@ def save_checkpoint(path, model: InertialRegressor):
 def load_checkpoint(path) -> InertialRegressor:
     """Rebuild a saved model; the archive must hold exactly its parameters.
 
-    A missing, unexpected or differently shaped parameter raises UsageError
-    rather than leaving an initial value in place or broadcasting.  A file or
-    ``__meta__`` entry that cannot be read raises ParseError, and a model
-    config that ModelConfig rejects raises UsageError.
+    A missing, unexpected, differently shaped or non-finite parameter raises
+    UsageError rather than leaving an initial value in place or broadcasting.
+    A file or ``__meta__`` entry that cannot be read raises ParseError, and a
+    model config that ModelConfig rejects raises UsageError.
     """
     # np.load(path) would leave the file open when it cannot read the archive
     with open(path, "rb") as fh:
@@ -247,5 +245,7 @@ def load_checkpoint(path) -> InertialRegressor:
             if value.shape != param.shape:
                 raise UsageError(f"checkpoint parameter '{name}' has shape {value.shape}, "
                                  f"expected {param.shape}")
+            if not np.all(np.isfinite(value)):
+                raise UsageError(f"checkpoint parameter '{name}' contains non-finite values")
             param[...] = value
     return model

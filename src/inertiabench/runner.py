@@ -23,6 +23,7 @@ import numpy as np
 
 from .augmentation import AugmentationSpec, apply_augmentation
 from .data import (
+    TRAJECTORY_KINDS,
     DatasetDescriptor,
     GroundTruth,
     InertialSeries,
@@ -35,6 +36,7 @@ from .data import (
     window_dataset,
 )
 from .errors import ConfigError, DataError, ShapeError, StageError, UsageError
+from .kernels import ConvSpec
 from .losses import LossSpec, improvement_pct, metric_rmse
 from .model import ModelConfig, TrainConfig, build_model, train_model
 from .preprocessing import (
@@ -70,6 +72,10 @@ class SyntheticSegment:
     noise_acc: float = 0.0
     noise_gyro: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ConfigError(f"unknown trajectory kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,8 @@ class TechniqueSpec:
     def __post_init__(self):
         if self.kind not in TECHNIQUE_KINDS:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
+        if not isinstance(self.label, (str, type(None))):
+            raise ConfigError(f"technique name must be a string, got {self.label!r}")
         for inner in ("loss", "augment", "preprocess"):
             if (getattr(self, inner) is None) == (inner == self.kind):
                 raise ConfigError(f"technique '{self.kind}' takes exactly its own "
@@ -210,9 +218,15 @@ class TechniqueSpec:
         return out
 
 
-def _check_train_fraction(fraction: float):
-    if not (0.0 < fraction < 1.0):
-        raise ConfigError(f"train fraction must be in (0, 1): {fraction}")
+def _check_run(cfg):
+    """Checks shared by ExperimentConfig and SuiteConfig."""
+    if not (0.0 < cfg.train_fraction < 1.0):
+        raise ConfigError(f"train fraction must be in (0, 1): {cfg.train_fraction}")
+    window, m = cfg.dataset.descriptor.window_size, cfg.model
+    conv = ConvSpec(6, m.conv_filters, m.kernel_size, m.stride)  # the single head's conv
+    if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
+        raise ConfigError(f"window size {window} is too short for conv kernel "
+                          f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +238,7 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self):
-        _check_train_fraction(self.train_fraction)
+        _check_run(self)
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        _check_train_fraction(self.train_fraction)
+        _check_run(self)
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
 
@@ -451,25 +465,22 @@ def worker_count(n_jobs: int) -> int:
 def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     """Run every technique ``repetitions`` times with paired seeds.
 
-    The dataset's recordings are loaded once and shared read-only by every
-    run.  Failed runs are excluded from aggregation with a warning; a
-    technique with no surviving run is marked failed, and if the recordings
-    cannot be loaded every run fails in the ``parse`` stage.  Worker count
-    comes from ``worker_count``; reports are identical for any worker count.
+    The dataset's recordings are loaded once, before any run, and shared
+    read-only by every run; if they cannot be loaded, the ``parse``
+    StageError propagates and no run starts.  Failed runs are excluded from
+    aggregation with a warning; a technique with no surviving run is marked
+    failed.  Worker count comes from ``worker_count``; reports are identical
+    for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
     runs = [(suite.experiment(tech), seed) for tech in suite.techniques for seed in seeds]
     workers = worker_count(len(runs))
-    try:
-        with _stage("parse"):
-            recordings = load_recordings(suite.dataset)
-    except StageError as exc:
-        results = [exc] * len(runs)  # every run fails to parse the same files
-    else:
-        # each job of a worker process carries its own pickled copy
-        jobs = [(exp, seed, recordings) for exp, seed in runs]
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            results = list((pool.map if pool else map)(_run_job, jobs))
+    with _stage("parse"):
+        recordings = load_recordings(suite.dataset)
+    # each job of a worker process carries its own pickled copy
+    jobs = [(exp, seed, recordings) for exp, seed in runs]
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(_run_job, jobs))
 
     reports = []
     for i, tech in enumerate(suite.techniques):

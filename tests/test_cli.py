@@ -202,7 +202,12 @@ class TestOneLineErrors:
                                       "checkpoint-not-an-archive",
                                       "checkpoint-truncated",
                                       "checkpoint-empty",
-                                      "checkpoint-npy-array"])
+                                      "checkpoint-npy-array",
+                                      "checkpoint-non-finite",
+                                      "unloadable-recordings",
+                                      "unknown-trajectory-kind",
+                                      "non-string-technique-name",
+                                      "window-too-short"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -240,6 +245,10 @@ class TestOneLineErrors:
                 ckpt.write_bytes(ckpt.read_bytes()[:100])
             elif case == "checkpoint-empty":
                 ckpt.write_bytes(b"")
+            elif case == "checkpoint-non-finite":
+                model = build_model(load_suite_config(config_path).model, model_init_rng(0))
+                model.head.params["b"][0] = np.nan
+                save_checkpoint(ckpt, model)
             else:
                 with open(ckpt, "wb") as fh:
                     np.save(fh, np.zeros(3))
@@ -257,6 +266,23 @@ class TestOneLineErrors:
             path = tmp_path / "suite.json"
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
+        elif case in ("unloadable-recordings", "unknown-trajectory-kind",
+                      "non-string-technique-name", "window-too-short"):
+            # a suite that cannot run ends once, before any report is written
+            doc = json.loads(json.dumps(TINY_CONFIG))
+            if case == "unloadable-recordings":
+                doc["dataset"] = {"descriptor": doc["dataset"]["descriptor"],
+                                  "imu_csv": str(tmp_path / "missing.csv"),
+                                  "gt_pos_csv": str(tmp_path / "gt_pos.csv")}
+            elif case == "unknown-trajectory-kind":
+                doc["dataset"]["synthetic"][0]["kind"] = "square"
+            elif case == "non-string-technique-name":
+                doc["techniques"].append({"kind": "baseline", "name": 5})
+            else:  # 3 steps: one conv output step (kernel 3) for a pool of depth 2
+                doc["dataset"]["descriptor"]["window_size"] = 3
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps(doc))
+            argv = ["bench", "--config", str(path), "--out-dir", out]
         else:
             doc = json.loads(json.dumps(TINY_CONFIG))
             doc["techniques"].append({"kind": "loss", "loss": "cubic"})
@@ -266,3 +292,6 @@ class TestOneLineErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+        if case == "unloadable-recordings":
+            assert err.startswith("error: [parse] ")

@@ -55,6 +55,24 @@ class TestCsvParsing:
             parse_imu_csv(path)
         assert exc.value.line == 2
 
+    def test_gt_pos_nan_rejected(self, tmp_path):
+        # a NaN timestamp would pass the strictly-increasing check
+        path = tmp_path / "gt_pos.csv"
+        path.write_text("t,px,py,pz\n0.0,0.0,0.0,0.0\nnan,0.0,0.0,0.0\n")
+        with pytest.raises(DataError, match="non-finite"):
+            parse_gt_pos_csv(path)
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["t", "position", "heading"])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"t": np.array([0.0, 1.0, 2.0]), "position": np.zeros((3, 3)),
+                  "heading": np.zeros(3)}
+        arrays[field][-1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            GroundTruth(**arrays)
+
 
 class TestCsvRoundTrip:
     def test_imu_round_trip_bit_exact(self, tmp_path):
@@ -78,6 +96,8 @@ class TestAlignment:
         gt = GroundTruth(np.array([0.0, 1.0]),
                          position=np.array([[0.0, 0, 0], [1.0, 0, 0]]))
         aligned = align_gt(series, gt)
+        assert isinstance(aligned, GroundTruth) and aligned.heading is None
+        np.testing.assert_array_equal(aligned.t, series.t)
         np.testing.assert_allclose(aligned.position[0], [0.5, 0.0, 0.0])
 
     def test_constant_gt(self):

@@ -162,6 +162,30 @@ class TestBiLstm:
             np.testing.assert_array_equal(layer.params[f"{d}_b"], np.zeros(4 * h))
 
 
+class TestInit:
+    # layer from a generator or None, and its drawn weights with their fan-in
+    # in draw order; every other parameter starts at zero
+    LAYERS = {
+        "conv": (lambda rng: Conv1d(ConvSpec(2, 3, 4), rng), {"w": 8}),
+        "dense": (lambda rng: Dense(5, 3, rng), {"w": 5}),
+        "bilstm": (lambda rng: BiLSTM(3, 4, rng),
+                   {"fwd_wx": 3, "fwd_wh": 4, "bwd_wx": 3, "bwd_wh": 4}),
+    }
+
+    @pytest.mark.parametrize("kind", LAYERS)
+    def test_uniform_draws_with_a_generator_zeros_without(self, kind):
+        make, drawn = self.LAYERS[kind]
+        layer, rng = make(np.random.default_rng(22)), np.random.default_rng(22)
+        for name, param in layer.params.items():
+            want = np.zeros(param.shape)
+            if name in drawn:
+                bound = 1.0 / np.sqrt(drawn[name])
+                want = rng.uniform(-bound, bound, size=param.shape)
+            np.testing.assert_array_equal(param, want)
+        for param in make(None).params.values():
+            np.testing.assert_array_equal(param, np.zeros(param.shape))
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = np.ones((3, 4))

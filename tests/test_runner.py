@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import pickle
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,11 +221,8 @@ class TestRunSuite:
                 descriptor=suite.dataset.descriptor, imu_csv=str(tmp_path / imu_file),
                 gt_pos_csv=str(tmp_path / "gt_pos.csv")))
 
-        # a recording that cannot be loaded fails every run of every
-        # technique, with one warning per run
         for case, failed_runs in ((suite, [0, 0]), (failing, [0, 2]),
-                                  (from_csv("imu.csv"), [0, 0]),
-                                  (from_csv("missing.csv"), [2, 2])):
+                                  (from_csv("imu.csv"), [0, 0])):
             docs = []
             for workers in ("1", "2"):
                 monkeypatch.setenv(WORKERS_ENV, workers)
@@ -234,6 +233,11 @@ class TestRunSuite:
                 assert sum(" failed: " in str(w.message) for w in caught) == sum(failed_runs)
             assert docs[0] == docs[1]
             assert [t["failed_runs"] for t in json.loads(docs[0])["techniques"]] == failed_runs
+        # a recording that cannot be loaded ends the suite once, before any run
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            with pytest.raises(StageError, match=r"\[parse\]"):
+                run_suite(from_csv("missing.csv"))
 
     def test_descriptor_rate_must_match_the_data(self, suite, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")
@@ -257,13 +261,10 @@ class TestRunSuite:
         write_imu_csv(tmp_path / "one.csv", InertialSeries(series.t[:1], series.imu[:1]))
         with pytest.raises(DataError, match="sampled at 0 Hz"):  # one sample has no rate
             load_recordings(from_csv(40.0, "one.csv"))
-        # like any unloadable recording, a mismatch fails every run in parse
+        # like any unloadable recording, a mismatch ends the suite in parse
         mismatched = replace(suite, dataset=from_csv(50.0))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reports = run_suite(mismatched)
-        assert [r.failed_runs for r in reports] == [2, 2]
-        assert all("[parse]" in str(w.message) for w in caught) and len(caught) == 4
+        with pytest.raises(StageError, match="sampled at 40 Hz"):
+            run_suite(mismatched)
 
     def test_stage_error_pickles(self):
         cause = DegenerateChannelError("fx")
@@ -385,6 +386,13 @@ class TestConfigParsing:
         assert isinstance(steps[0], DenoiseStep) and steps[0].window == 5
         assert isinstance(steps[1], DetrendStep)
 
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            parse_suite_config(json.loads(block))
+
     def test_unknown_top_level_key(self):
         doc = dict(CONFIG_DOC, extra=1)
         with pytest.raises(ConfigError):
@@ -470,6 +478,11 @@ class TestConfigParsing:
         # only techniques set the head mode and the loss
         ("model", {"head_mode": "head2"}, "unknown key"),
         ("train", {"delta": 0.5}, "unknown key"),
+        # suites that could not run
+        ("segment", {"kind": "square"}, "unknown trajectory kind 'square'"),
+        ("techniques", {"kind": "baseline", "name": 5}, "name must be a string"),
+        ("model", {"kernel_size": 41}, "window size 40 is too short"),
+        ("model", {"kernel_size": 3, "pool_depth": 39}, "window size 40 is too short"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
