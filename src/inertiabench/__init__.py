@@ -12,6 +12,7 @@ from .data import (
     GroundTruth,
     InertialSeries,
     SynthParams,
+    SyntheticSegment,
     WindowedDataset,
     align_gt,
     synthesize_dataset,
@@ -25,7 +26,6 @@ from .runner import (
     DatasetSpec,
     ExperimentConfig,
     SuiteConfig,
-    SyntheticSegment,
     TechniqueSpec,
     emit_outputs,
     run_experiment,

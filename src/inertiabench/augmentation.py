@@ -37,8 +37,7 @@ class AugmentationSpec:
         if self.kind == "rotation" and not self.rotation_axes:
             raise ShapeError("rotation augmentation needs at least one axis")
         for name in self.rotation_axes:
-            if name not in ROTATION_NAMES:
-                raise ShapeError(f"unknown rotation matrix '{name}'")
+            rotation_matrix(name)  # raises for an unknown name
         if self.sigma_acc < 0 or self.sigma_gyro < 0:
             raise ShapeError("augmentation stds must be non-negative")
         if self.bias_copies not in (1, 3):

@@ -11,6 +11,7 @@ from dataclasses import fields
 from .data import (
     TRAJECTORY_KINDS,
     SynthParams,
+    SyntheticSegment,
     synthesize_dataset,
     write_gt_heading_csv,
     write_gt_pos_csv,
@@ -33,10 +34,9 @@ from .runner import (
 
 def _cmd_synth(args):
     params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
-    series, gt = synthesize_dataset(args.kind, duration=args.duration, rate=args.rate,
-                                    gt_rate=args.gt_rate, params=params,
-                                    noise_acc=args.noise_acc,
-                                    noise_gyro=args.noise_gyro, seed=args.seed)
+    flags = {f.name: getattr(args, f.name) for f in fields(SyntheticSegment)
+             if f.name != "params"}
+    series, gt = synthesize_dataset(**flags, params=params)
     os.makedirs(args.out_dir, exist_ok=True)
     write_imu_csv(os.path.join(args.out_dir, "imu.csv"), series)
     write_gt_pos_csv(os.path.join(args.out_dir, "gt_pos.csv"), gt)
@@ -112,14 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic dataset to CSV")
     p.add_argument("--kind", choices=TRAJECTORY_KINDS, required=True)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--rate", type=float, default=120.0)
-    p.add_argument("--gt-rate", type=float, default=None)
-    for f in fields(SynthParams):
-        p.add_argument(f"--{f.name}", type=float, default=f.default)
-    p.add_argument("--noise-acc", type=float, default=0.0)
-    p.add_argument("--noise-gyro", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SyntheticSegment) + fields(SynthParams):
+        if f.name not in ("kind", "params"):
+            p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                           type=int if f.type == "int" else float)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -129,17 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formats", default="json,csv,svg")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("train", help="train one technique and save a checkpoint")
-    p.add_argument("--config", required=True)
-    p.add_argument("--technique", default="baseline")
-    p.add_argument("--seed", type=int, default=0)
+    run = argparse.ArgumentParser(add_help=False)  # the flags of train and eval
+    run.add_argument("--config", required=True)
+    run.add_argument("--technique", default="baseline")
+    run.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("train", parents=[run], help="train one technique and save a checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p.add_argument("--config", required=True)
-    p.add_argument("--technique", default="baseline")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("eval", parents=[run], help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=_cmd_eval)
 

@@ -261,19 +261,45 @@ class SynthParams:
     frequency: float = 0.5  # sinusoid angular frequency, rad/s
 
 
-def synthesize_dataset(kind: str, *, duration: float = 60.0, rate: float = 120.0,
-                       gt_rate: float | None = None,
-                       params: SynthParams | None = None,
-                       noise_acc: float = 0.0, noise_gyro: float = 0.0,
-                       seed: int = 0) -> tuple[InertialSeries, GroundTruth]:
+@dataclass(frozen=True)
+class SyntheticSegment:
+    """One synthetic recording: a trajectory, its sampling and sensor noise."""
+
+    kind: str
+    duration: float = 60.0  # s
+    rate: float = 120.0  # IMU rate, Hz
+    gt_rate: float | None = None  # ground-truth rate, Hz; None is the IMU rate
+    params: SynthParams = field(default_factory=SynthParams)
+    noise_acc: float = 0.0  # accelerometer noise std, m/s^2
+    noise_gyro: float = 0.0  # gyro noise std, rad/s
+    seed: int = 0  # noise seed
+
+    def __post_init__(self):
+        if self.kind not in TRAJECTORY_KINDS:
+            raise ShapeError(f"unknown trajectory kind {self.kind!r}")
+        if not isinstance(self.params, SynthParams):
+            raise ShapeError(f"params must be SynthParams, got {self.params!r}")
+        n = self.duration * self.rate  # samples; a CSV recording also needs 2
+        if not (self.rate > 0 and np.isfinite(n) and round(n) >= 2):
+            raise ShapeError(f"a recording needs a rate > 0 and at least 2 samples, got "
+                             f"{self.duration} s at {self.rate} Hz")
+        if self.gt_rate is not None and not self.gt_rate > 0:
+            raise ShapeError(f"ground-truth rate must be > 0, got {self.gt_rate}")
+        if not (self.noise_acc >= 0 and self.noise_gyro >= 0):
+            raise ShapeError("noise stds must be non-negative")
+
+
+def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTruth]:
     """Generate an analytic planar trajectory with exact ground truth.
 
-    The body frame is yaw-aligned with the velocity direction; specific force
-    includes the gravity reaction [0, 0, g].  Optional Gaussian sensor noise
-    is drawn from ``seed``.
+    ``options`` are the other fields of ``SyntheticSegment``, which checks
+    them and holds their defaults.  The body frame is yaw-aligned with the
+    velocity direction; specific force includes the gravity reaction
+    [0, 0, g].  Optional Gaussian sensor noise is drawn from ``seed``.
     """
-    p = params or SynthParams()
-    n = int(round(duration * rate))
+    seg = SyntheticSegment(kind, **options)
+    p, rate = seg.params, seg.rate
+    n = int(round(seg.duration * rate))
     t = np.arange(n) / rate
 
     if kind == "line":
@@ -290,7 +316,7 @@ def synthesize_dataset(kind: str, *, duration: float = 60.0, rate: float = 120.0
         acc = -p.radius * p.omega**2 * np.column_stack([np.cos(th), np.sin(th)])
         psi = np.arctan2(vel[:, 1], vel[:, 0])
         psi_dot = np.full(n, p.omega)
-    elif kind == "sinusoid":
+    else:  # sinusoid
         w = p.frequency
         pos = np.column_stack([p.speed * t, p.amplitude * np.sin(w * t)])
         vel = np.column_stack(
@@ -302,8 +328,6 @@ def synthesize_dataset(kind: str, *, duration: float = 60.0, rate: float = 120.0
         psi = np.arctan2(vel[:, 1], vel[:, 0])
         sq = vel[:, 0] ** 2 + vel[:, 1] ** 2
         psi_dot = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / sq
-    else:
-        raise ShapeError(f"unknown trajectory kind '{kind}'")
 
     # rotate navigation-frame planar acceleration into the (yaw-only) body frame
     cp, sp = np.cos(psi), np.sin(psi)
@@ -313,15 +337,14 @@ def synthesize_dataset(kind: str, *, duration: float = 60.0, rate: float = 120.0
         [f_bx, f_by, np.full(n, GRAVITY), np.zeros(n), np.zeros(n), psi_dot]
     )
 
-    if noise_acc > 0 or noise_gyro > 0:
-        rng = np.random.default_rng(seed)
-        imu[:, :3] += rng.normal(0.0, noise_acc, size=(n, 3))
-        imu[:, 3:] += rng.normal(0.0, noise_gyro, size=(n, 3))
+    if seg.noise_acc > 0 or seg.noise_gyro > 0:
+        rng = np.random.default_rng(seg.seed)
+        imu[:, :3] += rng.normal(0.0, seg.noise_acc, size=(n, 3))
+        imu[:, 3:] += rng.normal(0.0, seg.noise_gyro, size=(n, 3))
 
     series = InertialSeries(t=t, imu=imu)
 
-    gt_rate = gt_rate or rate
-    step = max(1, int(round(rate / gt_rate)))
+    step = max(1, int(round(rate / (seg.gt_rate or rate))))
     idx = np.arange(0, n, step)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)  # GT must span the IMU range

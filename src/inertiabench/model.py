@@ -72,9 +72,9 @@ class ModelConfig:
 
 
 class InertialRegressor:
-    """A configured network together with its parameters."""
+    """A configured network; its parameters are zeros if ``rng`` is None."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         self.branches = []
         for group in config.channel_groups:
@@ -232,7 +232,7 @@ def load_checkpoint(path) -> InertialRegressor:
             config = ModelConfig(**config)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid model config in checkpoint {path}: {exc}") from exc
-        model = InertialRegressor(config, np.random.default_rng(0))
+        model = InertialRegressor(config, None)  # zeros, every one overwritten below
         params = model.parameters()
         stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}
         if stored != set(params):

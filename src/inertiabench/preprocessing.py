@@ -108,7 +108,6 @@ def add_measurement_noise(series: InertialSeries, sigma_acc: float,
 class ChannelStats:
     """Per-channel location/scale fitted on the training split only."""
 
-    method: str
     loc: np.ndarray
     scale: np.ndarray
 
@@ -131,7 +130,7 @@ def fit_channel_stats(imu: np.ndarray, method: str) -> ChannelStats:
     for c in range(6):
         if scale[c] == 0:
             raise DegenerateChannelError(CHANNELS[c])
-    return ChannelStats(method, loc, scale)
+    return ChannelStats(loc, scale)
 
 
 def apply_channel_stats(series: InertialSeries, stats: ChannelStats) -> InertialSeries:

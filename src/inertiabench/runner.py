@@ -23,11 +23,11 @@ import numpy as np
 
 from .augmentation import AugmentationSpec, apply_augmentation
 from .data import (
-    TRAJECTORY_KINDS,
     DatasetDescriptor,
     GroundTruth,
     InertialSeries,
     SynthParams,
+    SyntheticSegment,
     WindowedDataset,
     parse_gt_heading_csv,
     parse_gt_pos_csv,
@@ -38,7 +38,7 @@ from .data import (
 from .errors import ConfigError, DataError, ShapeError, StageError, UsageError
 from .kernels import ConvSpec
 from .losses import LossSpec, improvement_pct, metric_rmse
-from .model import ModelConfig, TrainConfig, build_model, train_model
+from .model import HEAD_MODES, ModelConfig, TrainConfig, build_model, train_model
 from .preprocessing import (
     STEP_TYPES,
     AddNoiseStep,
@@ -58,24 +58,6 @@ WORKERS_ENV = "INERTIA_BENCH_WORKERS"
 
 # ---------------------------------------------------------------------------
 # configuration types
-
-
-@dataclass(frozen=True)
-class SyntheticSegment:
-    """One synthetic recording inside a dataset."""
-
-    kind: str
-    duration: float = 60.0
-    rate: float = 120.0
-    gt_rate: float | None = None
-    params: SynthParams = field(default_factory=SynthParams)
-    noise_acc: float = 0.0
-    noise_gyro: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in TRAJECTORY_KINDS:
-            raise ConfigError(f"unknown trajectory kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -126,12 +108,8 @@ STEP_OPS = {cls.op: (cls, _keys(cls), lambda s: s.tag.format(**vars(s)))
             for cls in STEP_TYPES}
 
 
-def _jsonable(value):
-    return [_jsonable(v) for v in value] if isinstance(value, tuple) else value
-
-
 def _dump(spec, keys) -> dict:
-    return {key: _jsonable(getattr(spec, f)) for key, f in keys.items()}
+    return {key: getattr(spec, f) for key, f in keys.items()}
 
 
 def _read_tagged(section, family: dict, tag: str, context: str):
@@ -191,7 +169,7 @@ class TechniqueSpec:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
         if not isinstance(self.label, (str, type(None))):
             raise ConfigError(f"technique name must be a string, got {self.label!r}")
-        for inner in ("loss", "augment", "preprocess"):
+        for inner in (k for k, v in TECHNIQUE_KINDS.items() if v is not None):
             if (getattr(self, inner) is None) == (inner == self.kind):
                 raise ConfigError(f"technique '{self.kind}' takes exactly its own "
                                   f"inner spec, got {inner}={getattr(self, inner)!r}")
@@ -407,7 +385,7 @@ def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
             train_ds = apply_augmentation(train_ds, technique.augment, augment_rng(seed))
 
     model_config = replace(exp.model, output_dim=exp.dataset.descriptor.label_dim)
-    if technique.kind in ("head2", "head3"):
+    if technique.kind in HEAD_MODES:
         model_config = replace(model_config, head_mode=technique.kind)
     return train_ds, test_ds, model_config
 
@@ -654,9 +632,11 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
     inner = TECHNIQUE_KINDS[kind]
     if inner is None:
         _check(entry, (), (), context)
-        return TechniqueSpec(kind, label=label)
-    read, _, _ = inner
-    return TechniqueSpec(kind, label=label, **{kind: read(entry, context)})
+    specs = {} if inner is None else {kind: inner[0](entry, context)}
+    try:
+        return TechniqueSpec(kind, label=label, **specs)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:

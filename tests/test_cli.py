@@ -67,6 +67,24 @@ class TestSynth:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 0
 
+    def test_synth_heading_csv_through_bench(self, tmp_path, config_path):
+        data = tmp_path / "data"
+        main(["synth", "--kind", "sinusoid", "--duration", "6.0", "--rate", "40",
+              "--gt-rate", "10", "--noise-acc", "0.05", "--out-dir", str(data)])
+        doc = json.loads(config_path.read_text())
+        doc["dataset"] = {
+            "descriptor": {**doc["dataset"]["descriptor"], "target_kind": "heading"},
+            "imu_csv": str(data / "imu.csv"),
+            "gt_heading_csv": str(data / "gt_heading.csv"),
+        }
+        csv_config = tmp_path / "csv_suite.json"
+        csv_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(csv_config), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(t["failed_runs"] == 0 and np.isfinite(t["mean"])
+                   for t in report["techniques"])
+
 
 class TestBench:
     def test_exit_zero_and_outputs(self, tmp_path, config_path, capsys):
@@ -207,7 +225,10 @@ class TestOneLineErrors:
                                       "unloadable-recordings",
                                       "unknown-trajectory-kind",
                                       "non-string-technique-name",
-                                      "window-too-short"])
+                                      "window-too-short",
+                                      "synth-zero-duration", "synth-zero-rate",
+                                      "synth-negative-duration", "synth-zero-gt-rate",
+                                      "synth-negative-noise"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -283,6 +304,13 @@ class TestOneLineErrors:
             path = tmp_path / "suite.json"
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
+        elif case.startswith("synth-"):
+            flags = {"synth-zero-duration": ["--duration", "0"],
+                     "synth-zero-rate": ["--rate", "0"],
+                     "synth-negative-duration": ["--duration", "-5"],
+                     "synth-zero-gt-rate": ["--gt-rate", "0"],
+                     "synth-negative-noise": ["--noise-acc", "-1"]}[case]
+            argv = ["synth", "--kind", "circle", *flags, "--out-dir", out]
         else:
             doc = json.loads(json.dumps(TINY_CONFIG))
             doc["techniques"].append({"kind": "loss", "loss": "cubic"})
@@ -295,3 +323,4 @@ class TestOneLineErrors:
         assert not (tmp_path / "out" / "report.json").exists()
         if case == "unloadable-recordings":
             assert err.startswith("error: [parse] ")
+        assert not list(tmp_path.rglob("*.csv"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from inertiabench import SyntheticSegment
 from inertiabench.data import (
     GRAVITY,
     DatasetDescriptor,
@@ -62,6 +63,25 @@ class TestCsvParsing:
         with pytest.raises(DataError, match="non-finite"):
             parse_gt_pos_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            parse_imu_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,fx,fy,fz,wx,wy,wz\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            parse_imu_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,fx,fy,fz,wx,wy,wz\n\n0.0,1,2,3,4,5,6\n\n0.1,1,2,3,4,5,6\n\n")
+        series = parse_imu_csv(path)
+        np.testing.assert_array_equal(series.t, [0.0, 0.1])
+        np.testing.assert_array_equal(series.imu, [[1, 2, 3, 4, 5, 6]] * 2)
+
 
 class TestGroundTruth:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -72,6 +92,11 @@ class TestGroundTruth:
         arrays[field][-1] = bad
         with pytest.raises(DataError, match="non-finite"):
             GroundTruth(**arrays)
+
+    @pytest.mark.parametrize("t", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_timestamps_must_increase(self, t):
+        with pytest.raises(DataError, match="not strictly increasing"):
+            GroundTruth(np.array(t), heading=np.zeros(3))
 
 
 class TestCsvRoundTrip:
@@ -271,6 +296,30 @@ class TestSynthesizer:
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):
             synthesize_dataset("spiral")
+
+    @pytest.mark.parametrize("options, match", [
+        ({"params": {"radius": 2.0}}, "params must be SynthParams"),
+        ({"duration": 0.0}, "at least 2 samples"),
+        ({"duration": -5.0}, "at least 2 samples"),
+        ({"rate": 0.0}, "rate > 0"),
+        ({"rate": -40.0, "duration": -1.0}, "rate > 0"),
+        ({"rate": 1.0, "duration": 1.0}, "at least 2 samples"),
+        ({"duration": float("inf")}, "at least 2 samples"),
+        ({"gt_rate": 0.0}, "ground-truth rate"),
+        ({"gt_rate": -1.0}, "ground-truth rate"),
+        ({"noise_acc": -0.1}, "non-negative"),
+        ({"noise_gyro": -0.1}, "non-negative"),
+    ])
+    def test_segment_rejects_degenerate_recording(self, options, match):
+        with pytest.raises(ShapeError, match=match):
+            SyntheticSegment("circle", **options)
+        with pytest.raises(ShapeError, match=match):
+            synthesize_dataset("circle", **options)
+
+    def test_two_samples_is_the_shortest_recording(self):
+        series, gt = synthesize_dataset("line", duration=1.0, rate=2.0, gt_rate=0.5)
+        np.testing.assert_array_equal(series.t, [0.0, 0.5])
+        np.testing.assert_array_equal(gt.t, [0.0, 0.5])
 
     @pytest.mark.parametrize("kind,params", [
         ("circle", SynthParams(radius=2.0, omega=0.7)),

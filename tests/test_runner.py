@@ -21,7 +21,13 @@ from inertiabench.data import (
 from inertiabench.errors import ConfigError, DataError, DegenerateChannelError, StageError
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
-from inertiabench.preprocessing import DenoiseStep, DetrendStep, NormalizeStep, PreprocSpec
+from inertiabench.preprocessing import (
+    AddNoiseStep,
+    DenoiseStep,
+    DetrendStep,
+    NormalizeStep,
+    PreprocSpec,
+)
 
 from test_acceptance import BENCH_CONFIG
 from inertiabench.runner import (
@@ -93,6 +99,28 @@ class TestRunExperiment:
         with pytest.raises(StageError) as exc:
             run_experiment(exp, 0)
         assert exc.value.stage == "preprocess"
+
+    @staticmethod
+    def _split_windows(steps=(), seed=3):
+        technique = (TechniqueSpec("preprocess", preprocess=PreprocSpec(steps)) if steps
+                     else TechniqueSpec("baseline"))
+        train_ds, test_ds, _ = prepare_run(tiny_experiment(technique), seed)
+        return train_ds.windows, test_ds.windows
+
+    def test_add_noise_is_seeded(self):
+        steps = (AddNoiseStep(0.1, 0.001),)
+        for a, b in zip(self._split_windows(steps), self._split_windows(steps)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_add_noise_changes_both_splits(self):
+        noisy = self._split_windows((AddNoiseStep(0.1, 0.001),))
+        for a, b in zip(noisy, self._split_windows()):
+            assert a.shape == b.shape and not np.array_equal(a, b)
+
+    def test_add_noise_with_zero_stds_is_the_baseline(self):
+        for a, b in zip(self._split_windows((AddNoiseStep(0.0, 0.0),)),
+                        self._split_windows()):
+            np.testing.assert_array_equal(a, b)
 
     def test_denoise_smooths_before_the_split(self):
         # the whole recording is smoothed, then split: the first test sample
@@ -483,6 +511,14 @@ class TestConfigParsing:
         ("techniques", {"kind": "baseline", "name": 5}, "name must be a string"),
         ("model", {"kernel_size": 41}, "window size 40 is too short"),
         ("model", {"kernel_size": 3, "pool_depth": 39}, "window size 40 is too short"),
+        # degenerate recordings and technique errors name their entry
+        ("segment", {"kind": "circle", "duration": 0, "rate": 40.0},
+         r"invalid dataset\.synthetic\[0\]"),
+        ("segment", {"kind": "circle", "duration": 6.0, "rate": 40.0, "noise_acc": -1},
+         r"invalid dataset\.synthetic\[0\]"),
+        ("segment", {"kind": "circle", "duration": 6.0, "rate": 40.0, "gt_rate": 0},
+         r"invalid dataset\.synthetic\[0\]"),
+        ("techniques", {"kind": "baseline", "name": 5}, r"invalid techniques\[6\]"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
