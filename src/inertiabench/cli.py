@@ -62,6 +62,8 @@ def _cmd_bench(args):
 
 def _experiment(args) -> ExperimentConfig:
     """The suite's experiment for ``--technique``."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     suite = load_suite_config(args.config)
     technique = next((t for t in suite.techniques if t.name == args.technique),
                      None)

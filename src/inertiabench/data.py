@@ -287,6 +287,8 @@ class SyntheticSegment:
             raise ShapeError(f"ground-truth rate must be > 0, got {self.gt_rate}")
         if not (self.noise_acc >= 0 and self.noise_gyro >= 0):
             raise ShapeError("noise stds must be non-negative")
+        if self.seed < 0:
+            raise ShapeError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTruth]:

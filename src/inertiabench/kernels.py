@@ -111,15 +111,22 @@ class DenseParams:
 
 
 class Layer:
-    """Base class: parameter and gradient dicts.
+    """Base class: parameter and gradient dicts and the forward cache.
 
     Each layer defines ``forward(x)`` and ``backward(gout)``; only
-    ``Dropout.forward`` also takes ``train`` and ``rng``.
+    ``Dropout.forward`` also takes ``train`` and ``rng``.  ``forward``
+    stores what ``backward`` needs in ``_cache``.
     """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._cache = None
+
+    def _cached(self):
+        if self._cache is None:
+            raise UsageError("backward called before forward")
+        return self._cache
 
 
 def _init_uniform(rng, shape, fan_in):
@@ -144,7 +151,6 @@ class Conv1d(Layer):
         self.params["w"] = _init_uniform(rng, (spec.filters, spec.in_channels, spec.kernel),
                                          spec.in_channels * spec.kernel)
         self.params["b"] = np.zeros(spec.filters)
-        self._cache = None
 
     def _taps(self, x, t_out):
         """Per-tap strided views ``x[:, :, i::stride]`` of ``t_out`` steps each."""
@@ -177,9 +183,7 @@ class Conv1d(Layer):
         return out
 
     def backward(self, gout):
-        if self._cache is None:
-            raise UsageError("backward called before forward")
-        x = self._cache
+        x = self._cached()
         t_out = gout.shape[2]
         w = self.params["w"]
         gw = np.empty_like(w)
@@ -193,18 +197,12 @@ class Conv1d(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        super().__init__()
-        self._mask = None
-
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._cache = x > 0
+        return np.where(self._cache, x, 0.0)
 
     def backward(self, gout):
-        if self._mask is None:
-            raise UsageError("backward called before forward")
-        return gout * self._mask
+        return gout * self._cached()
 
 
 class MaxPool1d(Layer):
@@ -215,7 +213,6 @@ class MaxPool1d(Layer):
         if depth < 1:
             raise ShapeError(f"pool depth must be >= 1, got {depth}")
         self.depth = depth
-        self._cache = None
 
     def forward(self, x):
         d = self.depth
@@ -230,9 +227,7 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, gout):
-        if self._cache is None:
-            raise UsageError("backward called before forward")
-        in_shape, idx = self._cache
+        in_shape, idx = self._cached()
         b, c, t = in_shape
         d = self.depth
         t_out = idx.shape[2]
@@ -264,15 +259,6 @@ class BiLSTM(Layer):
             # biases start at zero; a weight's fan-in is its column count
             self.params[name] = (np.zeros(shape) if name.endswith("_b")
                                  else _init_uniform(rng, shape, shape[1]))
-        self._cache = None
-
-    @classmethod
-    def from_params(cls, p: LstmParams) -> "BiLSTM":
-        p.validate()
-        layer = cls(p.input_size, p.hidden_size)
-        for name in layer.params:
-            layer.params[name] = np.array(getattr(p, name), dtype=float)
-        return layer
 
     def _packed(self):
         """``(2, 4H, 1 + C + H)``: ``[b, wx, wh]`` of the fwd and bwd directions."""
@@ -335,9 +321,7 @@ class BiLSTM(Layer):
         return out
 
     def backward(self, gout):
-        if self._cache is None:
-            raise UsageError("backward called before forward")
-        xh, gates, cs = self._cache
+        xh, gates, cs = self._cached()
         # each step's gate activations are overwritten in place with d loss /
         # d gate pre-activation, so this call uses the cache up
         self._cache = None
@@ -432,20 +416,17 @@ class Dense(Layer):
         super().__init__()
         self.params["w"] = _init_uniform(rng, (n_in, n_out), n_in)
         self.params["b"] = np.zeros(n_out)
-        self._x = None
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
             raise ShapeError(
                 f"expected (B, {self.params['w'].shape[0]}) input, got {x.shape}"
             )
-        self._x = x
+        self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, gout):
-        if self._x is None:
-            raise UsageError("backward called before forward")
-        self.grads["w"] = self._x.T @ gout
+        self.grads["w"] = self._cached().T @ gout
         self.grads["b"] = gout.sum(axis=0)
         return gout @ self.params["w"].T
 
@@ -458,16 +439,16 @@ class Adam:
     """Adam with bias correction; per-name moment buffers.
 
     Moments are keyed by parameter name, so the update is independent of
-    the order in which parameters are visited.
+    the order in which parameters are visited.  Only the learning rate is
+    set; the betas and epsilon are Kingma & Ba's (2015) defaults.
     """
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        if lr <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
-            raise ShapeError("invalid Adam hyperparameters")
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=0.001):
+        if lr <= 0:
+            raise ShapeError(f"Adam learning rate must be > 0, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -476,7 +457,7 @@ class Adam:
         """Update ``params`` in place from ``grads``."""
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name in sorted(params):
             g = grads[name]
             if g.shape != params[name].shape:
@@ -488,7 +469,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1**t)
             v_hat = self.v[name] / (1 - b2**t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +506,11 @@ def maxpool1d(x, depth: int):
 
 
 def bilstm_forward(x, params: LstmParams):
-    x = np.asarray(x, dtype=float)
-    return BiLSTM.from_params(params).forward(x[None])[0]
+    params.validate()
+    layer = BiLSTM(params.input_size, params.hidden_size)
+    for name in layer.params:
+        layer.params[name] = np.array(getattr(params, name), dtype=float)
+    return layer.forward(np.asarray(x, dtype=float)[None])[0]
 
 
 def dropout_apply(x, spec: DropoutSpec, train: bool, rng=None):

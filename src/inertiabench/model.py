@@ -54,22 +54,6 @@ class ModelConfig:
     def channel_groups(self):
         return _GROUPS[self.head_mode]
 
-    @property
-    def lstm_input(self) -> int:
-        return self.conv_filters * len(self.channel_groups)
-
-    def parameter_count(self) -> int:
-        """Closed-form learnable parameter count."""
-        n = 0
-        for group in self.channel_groups:
-            n += self.conv_filters * (len(group) * self.kernel_size + 1)
-        gates = 4 * self.lstm_hidden
-        n += 2 * (gates * (self.lstm_input + self.lstm_hidden) + gates)
-        summary = 2 * self.lstm_hidden
-        n += (summary + 1) * self.fc_width
-        n += (self.fc_width + 1) * self.output_dim
-        return n
-
 
 class InertialRegressor:
     """A configured network; its parameters are zeros if ``rng`` is None."""
@@ -83,7 +67,7 @@ class InertialRegressor:
             self.branches.append(
                 (list(group), Conv1d(spec, rng), ReLU(), MaxPool1d(config.pool_depth))
             )
-        self.lstm = BiLSTM(config.lstm_input, config.lstm_hidden, rng)
+        self.lstm = BiLSTM(config.conv_filters * len(self.branches), config.lstm_hidden, rng)
         self.drop = Dropout(DropoutSpec(config.dropout))
         self.fc = Dense(2 * config.lstm_hidden, config.fc_width, rng)
         self.fc_act = ReLU()

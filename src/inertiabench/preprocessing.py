@@ -137,12 +137,9 @@ def apply_channel_stats(series: InertialSeries, stats: ChannelStats) -> Inertial
     return InertialSeries(series.t.copy(), (series.imu - stats.loc) / stats.scale)
 
 
-def normalize(series: InertialSeries, method: str,
-              train_imu: np.ndarray | None = None) -> InertialSeries:
-    """Normalize a series; statistics come from ``train_imu`` when given
-    (the training split), otherwise from the series itself."""
-    stats = fit_channel_stats(series.imu if train_imu is None else train_imu, method)
-    return apply_channel_stats(series, stats)
+def normalize(series: InertialSeries, method: str) -> InertialSeries:
+    """Normalize a series with statistics fitted on the series itself."""
+    return apply_channel_stats(series, fit_channel_stats(series.imu, method))
 
 
 def detrend_linear(window: np.ndarray) -> np.ndarray:

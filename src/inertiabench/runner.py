@@ -232,6 +232,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         _check_run(self)
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
@@ -606,7 +608,8 @@ def _build(cls, section, context: str, keys=None, required=(), decode=None,
     given in ``fixed``, under its own name).  A key is required if its field
     has no default or it is listed in ``required``; ``decode`` maps a key to
     a function ``(value, context) -> field value`` for nested sections.
-    Unknown or missing keys and values the class rejects raise ConfigError.
+    Unknown or missing keys, a non-integer value of an ``int`` field and
+    values the class rejects raise ConfigError.
     """
     section = _section(section, context)
     keys = _keys(cls, *fixed) if keys is None else keys
@@ -614,6 +617,10 @@ def _build(cls, section, context: str, keys=None, required=(), decode=None,
                   if f.default is MISSING and f.default_factory is MISSING}
     _check(section, keys,
            [k for k, f in keys.items() if f in no_default] + list(required), context)
+    ints = {f.name for f in fields(cls) if f.type == "int"}
+    for k, v in section.items():
+        if keys[k] in ints and type(v) is not int:  # also rejects true and false
+            raise ConfigError(f"invalid {context}: {k} must be an integer, got {v!r}")
     decode = decode or {}
     kwargs = {keys[k]: decode[k](v, f"{context}.{k}") if k in decode else _frozen(v)
               for k, v in section.items()}

@@ -228,7 +228,9 @@ class TestOneLineErrors:
                                       "window-too-short",
                                       "synth-zero-duration", "synth-zero-rate",
                                       "synth-negative-duration", "synth-zero-gt-rate",
-                                      "synth-negative-noise"])
+                                      "synth-negative-noise", "synth-negative-seed",
+                                      "bench-fractional-repetitions",
+                                      "train-negative-seed"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -288,7 +290,8 @@ class TestOneLineErrors:
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
         elif case in ("unloadable-recordings", "unknown-trajectory-kind",
-                      "non-string-technique-name", "window-too-short"):
+                      "non-string-technique-name", "window-too-short",
+                      "bench-fractional-repetitions"):
             # a suite that cannot run ends once, before any report is written
             doc = json.loads(json.dumps(TINY_CONFIG))
             if case == "unloadable-recordings":
@@ -299,6 +302,8 @@ class TestOneLineErrors:
                 doc["dataset"]["synthetic"][0]["kind"] = "square"
             elif case == "non-string-technique-name":
                 doc["techniques"].append({"kind": "baseline", "name": 5})
+            elif case == "bench-fractional-repetitions":
+                doc["suite"]["repetitions"] = 1.5
             else:  # 3 steps: one conv output step (kernel 3) for a pool of depth 2
                 doc["dataset"]["descriptor"]["window_size"] = 3
             path = tmp_path / "suite.json"
@@ -309,8 +314,12 @@ class TestOneLineErrors:
                      "synth-zero-rate": ["--rate", "0"],
                      "synth-negative-duration": ["--duration", "-5"],
                      "synth-zero-gt-rate": ["--gt-rate", "0"],
-                     "synth-negative-noise": ["--noise-acc", "-1"]}[case]
+                     "synth-negative-noise": ["--noise-acc", "-1"],
+                     "synth-negative-seed": ["--noise-acc", "0.1", "--seed", "-1"]}[case]
             argv = ["synth", "--kind", "circle", *flags, "--out-dir", out]
+        elif case == "train-negative-seed":
+            argv = ["train", "--config", str(config_path), "--seed", "-1",
+                    "--out", str(tmp_path / "model.npz")]
         else:
             doc = json.loads(json.dumps(TINY_CONFIG))
             doc["techniques"].append({"kind": "loss", "loss": "cubic"})
@@ -323,4 +332,6 @@ class TestOneLineErrors:
         assert not (tmp_path / "out" / "report.json").exists()
         if case == "unloadable-recordings":
             assert err.startswith("error: [parse] ")
+        if case == "train-negative-seed":
+            assert "--seed" in err and not (tmp_path / "model.npz").exists()
         assert not list(tmp_path.rglob("*.csv"))

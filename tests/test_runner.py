@@ -519,6 +519,18 @@ class TestConfigParsing:
         ("segment", {"kind": "circle", "duration": 6.0, "rate": 40.0, "gt_rate": 0},
          r"invalid dataset\.synthetic\[0\]"),
         ("techniques", {"kind": "baseline", "name": 5}, r"invalid techniques\[6\]"),
+        # negative seeds and non-integer values of integer fields
+        ("suite", {"base_seed": -1}, "invalid suite: base_seed must be >= 0"),
+        ("segment", {"kind": "circle", "duration": 6.0, "rate": 40.0, "seed": -1},
+         r"invalid dataset\.synthetic\[0\]: noise seed must be >= 0"),
+        ("suite", {"repetitions": 1.5}, "invalid suite: repetitions must be an integer"),
+        ("suite", {"repetitions": True}, "invalid suite: repetitions must be an integer"),
+        ("train", {"epochs": 1.5}, "invalid train: epochs must be an integer"),
+        ("descriptor", {"name": "tiny", "sampling_rate": 40.0, "window_size": 40.5,
+                        "stride": 20, "target_kind": "distance_xy"},
+         r"invalid dataset\.descriptor: window_size must be an integer"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "bias", "copies": 1.0}},
+         r"invalid techniques\[6\]\.augment: copies must be an integer"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
