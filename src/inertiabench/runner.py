@@ -17,7 +17,8 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .data import (
     DatasetDescriptor,
     GroundTruth,
     InertialSeries,
-    SynthParams,
     SyntheticSegment,
     WindowedDataset,
     parse_gt_heading_csv,
@@ -116,7 +116,7 @@ def _read_tagged(section, family: dict, tag: str, context: str):
     """A spec from an entry whose ``tag`` key picks its row of ``family``."""
     section = dict(_section(section, context))
     value = section.pop(tag, None)
-    if value not in family:
+    if not isinstance(value, str) or value not in family:
         raise ConfigError(f"unknown {tag} {value!r} in {context}")
     cls, keys, _ = family[value]
     return _build(cls, section, context, keys, **({tag: value} if tag in _keys(cls) else {}))
@@ -144,7 +144,7 @@ TECHNIQUE_KINDS = {
     "preprocess": (
         lambda e, c: PreprocSpec(tuple(
             _read_tagged(s, STEP_OPS, "op", f"{c}.steps[{i}]")
-            for i, s in enumerate(_sole(e, "steps", c)))),
+            for i, s in enumerate(_value(list, _sole(e, "steps", c), c, "steps")))),
         lambda p: {"steps": [_write_tagged(s, STEP_OPS, "op") for s in p.steps]},
         lambda p: "+".join(STEP_OPS[s.op][2](s) for s in p.steps)),
 }
@@ -167,8 +167,6 @@ class TechniqueSpec:
     def __post_init__(self):
         if self.kind not in TECHNIQUE_KINDS:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
-        if not isinstance(self.label, (str, type(None))):
-            raise ConfigError(f"technique name must be a string, got {self.label!r}")
         for inner in (k for k, v in TECHNIQUE_KINDS.items() if v is not None):
             if (getattr(self, inner) is None) == (inner == self.kind):
                 raise ConfigError(f"technique '{self.kind}' takes exactly its own "
@@ -596,20 +594,42 @@ def _check(section: dict, allowed, required, context: str):
         raise ConfigError(f"missing key(s) {missing} in {context}")
 
 
-def _frozen(value):
-    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
+_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 
 
-def _build(cls, section, context: str, keys=None, required=(), decode=None,
-           **fixed):
+def _value(tp, value, context: str, key: str):
+    """``value`` of config ``key`` read, unconverted, as its declared type ``tp``.
+
+    A dataclass comes from an object and a tuple from a list of its length;
+    ``X | None`` also takes null, a float takes an integer too, and any other
+    type takes only itself (so an int rejects 1.0 and true, a float true).
+    """
+    if is_dataclass(tp):
+        return _build(tp, value, f"{context}.{key}")
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _value(args[0], value, context, key)
+    if get_origin(tp) is tuple:
+        items = _value(list, value, context, key)
+        types = args[:1] * len(items) if args[-1] is ... else args
+        if len(items) != len(types):
+            raise ConfigError(f"invalid {context}: {key} must be a list of "
+                              f"{len(types)} items, got {value!r}")
+        return tuple(_value(t, v, context, f"{key}[{i}]")
+                     for i, (t, v) in enumerate(zip(types, items)))
+    if not (type(value) is tp or tp is float and type(value) is int):
+        raise ConfigError(f"invalid {context}: {key} must be {_WORDS[tp]}, got {value!r}")
+    return value
+
+
+def _build(cls, section, context: str, keys=None, required=(), **fixed):
     """``cls`` from one config section.
 
     ``keys`` maps config keys to fields of ``cls`` (default: every field not
     given in ``fixed``, under its own name).  A key is required if its field
-    has no default or it is listed in ``required``; ``decode`` maps a key to
-    a function ``(value, context) -> field value`` for nested sections.
-    Unknown or missing keys, a non-integer value of an ``int`` field and
-    values the class rejects raise ConfigError.
+    has no default or it is listed in ``required``.  Each value is read by
+    ``_value`` as its field's annotated type.  Unknown or missing keys, a
+    value of the wrong type and values the class rejects raise ConfigError.
     """
     section = _section(section, context)
     keys = _keys(cls, *fixed) if keys is None else keys
@@ -617,13 +637,8 @@ def _build(cls, section, context: str, keys=None, required=(), decode=None,
                   if f.default is MISSING and f.default_factory is MISSING}
     _check(section, keys,
            [k for k, f in keys.items() if f in no_default] + list(required), context)
-    ints = {f.name for f in fields(cls) if f.type == "int"}
-    for k, v in section.items():
-        if keys[k] in ints and type(v) is not int:  # also rejects true and false
-            raise ConfigError(f"invalid {context}: {k} must be an integer, got {v!r}")
-    decode = decode or {}
-    kwargs = {keys[k]: decode[k](v, f"{context}.{k}") if k in decode else _frozen(v)
-              for k, v in section.items()}
+    types = get_type_hints(cls)
+    kwargs = {keys[k]: _value(types[keys[k]], v, context, k) for k, v in section.items()}
     try:
         return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
@@ -633,9 +648,9 @@ def _build(cls, section, context: str, keys=None, required=(), decode=None,
 def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
     entry = dict(_section(entry, context))
     kind = entry.pop("kind", None)
-    if kind not in TECHNIQUE_KINDS:
+    if not isinstance(kind, str) or kind not in TECHNIQUE_KINDS:
         raise ConfigError(f"unknown technique kind {kind!r} in {context}")
-    label = entry.pop("name", None)
+    label = _value(str | None, entry.pop("name", None), context, "name")
     inner = TECHNIQUE_KINDS[kind]
     if inner is None:
         _check(entry, (), (), context)
@@ -649,15 +664,10 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
 def parse_suite_config(doc: dict) -> SuiteConfig:
     _check(_section(doc, "config"), ("dataset", "model", "train", "suite", "techniques"),
            ("dataset", "techniques"), "top level")
-    dataset = _build(DatasetSpec, doc["dataset"], "dataset", decode={
-        "descriptor": lambda v, c: _build(DatasetDescriptor, v, c),
-        "synthetic": lambda v, c: tuple(
-            _build(SyntheticSegment, s, f"{c}[{i}]",
-                   decode={"params": lambda p, pc: _build(SynthParams, p, pc)})
-            for i, s in enumerate(v)),
-    })
+    dataset = _build(DatasetSpec, doc["dataset"], "dataset")
     techniques = tuple(_parse_technique(t, f"techniques[{i}]")
-                       for i, t in enumerate(doc["techniques"]))
+                       for i, t in enumerate(_value(list, doc["techniques"], "config",
+                                                    "techniques")))
     return _build(
         SuiteConfig, doc.get("suite", {}), "suite", dataset=dataset,
         techniques=techniques,

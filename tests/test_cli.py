@@ -230,7 +230,8 @@ class TestOneLineErrors:
                                       "synth-negative-duration", "synth-zero-gt-rate",
                                       "synth-negative-noise", "synth-negative-seed",
                                       "bench-fractional-repetitions",
-                                      "train-negative-seed"])
+                                      "train-negative-seed",
+                                      "unhashable-technique-kind", "imu-csv-zero"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -291,7 +292,8 @@ class TestOneLineErrors:
             argv = ["bench", "--config", str(path), "--out-dir", out]
         elif case in ("unloadable-recordings", "unknown-trajectory-kind",
                       "non-string-technique-name", "window-too-short",
-                      "bench-fractional-repetitions"):
+                      "bench-fractional-repetitions", "unhashable-technique-kind",
+                      "imu-csv-zero"):
             # a suite that cannot run ends once, before any report is written
             doc = json.loads(json.dumps(TINY_CONFIG))
             if case == "unloadable-recordings":
@@ -304,6 +306,18 @@ class TestOneLineErrors:
                 doc["techniques"].append({"kind": "baseline", "name": 5})
             elif case == "bench-fractional-repetitions":
                 doc["suite"]["repetitions"] = 1.5
+            elif case in ("unhashable-technique-kind", "imu-csv-zero"):
+                # rejected when the config is read, so no run loads anything
+                # (open(0) would read file descriptor 0, stdin)
+                def no_run(suite):
+                    raise AssertionError("run_suite called")
+                monkeypatch.setattr("inertiabench.cli.run_suite", no_run)
+                if case == "imu-csv-zero":
+                    doc["dataset"] = {"descriptor": doc["dataset"]["descriptor"],
+                                      "imu_csv": 0,
+                                      "gt_pos_csv": str(tmp_path / "gt_pos.csv")}
+                else:
+                    doc["techniques"].append({"kind": ["baseline"]})
             else:  # 3 steps: one conv output step (kernel 3) for a pool of depth 2
                 doc["dataset"]["descriptor"]["window_size"] = 3
             path = tmp_path / "suite.json"

@@ -4,8 +4,9 @@ import json
 import pickle
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from inertiabench.augmentation import AugmentationSpec
 from inertiabench.data import (
     DatasetDescriptor,
     InertialSeries,
+    SynthParams,
     synthesize_dataset,
     write_gt_pos_csv,
     write_imu_csv,
@@ -31,6 +33,9 @@ from inertiabench.preprocessing import (
 
 from test_acceptance import BENCH_CONFIG
 from inertiabench.runner import (
+    AUGMENT_KINDS,
+    LOSS_KEYS,
+    STEP_OPS,
     WORKERS_ENV,
     DatasetSpec,
     ExperimentConfig,
@@ -531,6 +536,51 @@ class TestConfigParsing:
          r"invalid dataset\.descriptor: window_size must be an integer"),
         ("techniques", {"kind": "augment", "augment": {"kind": "bias", "copies": 1.0}},
          r"invalid techniques\[6\]\.augment: copies must be an integer"),
+        # every value is read as its field's declared type
+        ("segment", {"kind": "circle", "duration": True, "rate": 40.0},
+         r"invalid dataset\.synthetic\[0\]: duration must be a number, got True"),
+        ("train", {"learning_rate": True}, "invalid train: learning_rate must be a number"),
+        ("model", {"dropout": False}, "invalid model: dropout must be a number, got False"),
+        ("techniques", {"kind": "loss", "loss": "huber", "delta": True},
+         r"invalid techniques\[6\]: delta must be a number"),
+        ("segment", {"kind": "circle", "duration": 6.0, "rate": 40.0,
+                     "params": {"radius": True}},
+         r"invalid dataset\.synthetic\[0\]\.params: radius must be a number"),
+        ("descriptor", {"name": 5, "sampling_rate": 40.0, "window_size": 40, "stride": 20,
+                        "target_kind": "distance_xy"},
+         r"invalid dataset\.descriptor: name must be a string, got 5"),
+        ("dataset", {"synthetic": [], "imu_csv": 0, "gt_pos_csv": "gt_pos.csv"},
+         "invalid dataset: imu_csv must be a string, got 0"),
+        ("dataset", {"synthetic": [], "imu_csv": True, "gt_pos_csv": "gt_pos.csv"},
+         "invalid dataset: imu_csv must be a string, got True"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "noise", "schedule": [[0.1]]}},
+         r"invalid techniques\[6\]\.augment: schedule\[0\] must be a list of 2 items"),
+        ("techniques", {"kind": "augment",
+                        "augment": {"kind": "noise", "schedule": [[0.1, "x"]]}},
+         r"invalid techniques\[6\]\.augment: schedule\[0\]\[1\] must be a number, got 'x'"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "noise", "schedule": 0.1}},
+         r"invalid techniques\[6\]\.augment: schedule must be a list, got 0\.1"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "rotation", "axes": "T1"}},
+         r"invalid techniques\[6\]\.augment: axes must be a list, got 'T1'"),
+        ("dataset", {"synthetic": "abc"}, "invalid dataset: synthetic must be a list"),
+        ("dataset", {"synthetic": {}}, "invalid dataset: synthetic must be a list"),
+        ("segment", {"kind": "circle", "duration": "6", "rate": 40.0},
+         r"invalid dataset\.synthetic\[0\]: duration must be a number, got '6'"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "bias", "sigma_acc": "x"}},
+         r"invalid techniques\[6\]\.augment: sigma_acc must be a number"),
+        # tags and lists go through the same rule
+        ("techniques", {"kind": ["baseline"]},
+         r"unknown technique kind \['baseline'\] in techniques\[6\]"),
+        ("techniques", {"kind": "augment", "augment": {"kind": ["rotation"]}},
+         r"unknown kind \['rotation'\] in techniques\[6\]\.augment"),
+        ("techniques", {"kind": "preprocess", "steps": [{"op": {"denoise": 3}}]},
+         r"unknown op \{'denoise': 3\} in techniques\[6\]\.steps\[0\]"),
+        ("techniques", {"kind": "preprocess", "steps": {}},
+         r"invalid techniques\[6\]: steps must be a list, got \{\}"),
+        ("config", {"techniques": {"kind": "baseline"}},
+         "invalid config: techniques must be a list"),
+        ("techniques", {"kind": "baseline", "name": 5},
+         r"invalid techniques\[6\]: name must be a string, got 5"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
@@ -540,7 +590,69 @@ class TestConfigParsing:
             doc["dataset"]["descriptor"] = value
         elif section == "segment":
             doc["dataset"]["synthetic"][0] = value
+        elif section == "dataset":
+            doc["dataset"].update(value)
+        elif section == "config":
+            doc.update(value)
         else:
             doc[section] = value
         with pytest.raises(ConfigError, match=match):
             parse_suite_config(doc)
+
+
+def _wrong_type(tp):
+    """A JSON value that a field declared ``tp`` rejects: 5 for a string, true
+    for a number, and such values inside a list for a tuple."""
+    args = get_args(tp)
+    if type(None) in args:
+        return _wrong_type(args[0])
+    if get_origin(tp) is tuple:
+        return [_wrong_type(args[0])] * (1 if args[-1] is ... else len(args))
+    return 5 if tp is str else True
+
+
+def _scalar_keys():
+    """(where, config key, wrong value) for every key the reader accepts that
+    holds a string, a number or a tuple of them."""
+    def own(cls, *skip):
+        return [(f.name, f.name) for f in fields(cls) if f.name not in skip]
+    places = [("descriptor", DatasetDescriptor, own(DatasetDescriptor)),
+              ("dataset", DatasetSpec, own(DatasetSpec)),
+              ("segment", SyntheticSegment, own(SyntheticSegment)),
+              ("params", SynthParams, own(SynthParams)),
+              ("model", ModelConfig, own(ModelConfig, "output_dim", "head_mode")),
+              ("train", TrainConfig, own(TrainConfig, "loss")),
+              ("suite", SuiteConfig, own(SuiteConfig)),
+              ("technique", TechniqueSpec, [("name", "label")]),
+              ("loss", LossSpec, LOSS_KEYS.items())]
+    places += [(f"augment:{kind}", cls, keys.items())
+               for kind, (cls, keys, _) in AUGMENT_KINDS.items()]
+    places += [(f"step:{op}", cls, keys.items()) for op, (cls, keys, _) in STEP_OPS.items()]
+    for where, cls, keys in places:
+        types = get_type_hints(cls)
+        for key, name in keys:
+            tp = types[name]
+            if not (is_dataclass(tp) or any(is_dataclass(a) for a in get_args(tp))):
+                yield pytest.param(where, key, _wrong_type(tp), id=f"{where}.{key}")
+
+
+@pytest.mark.parametrize("where, key, value", _scalar_keys())
+def test_value_of_the_wrong_type_names_its_key(where, key, value):
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    segment = doc["dataset"]["synthetic"][0]
+    tagged = where.partition(":")[2]
+    section = {"descriptor": doc["dataset"]["descriptor"], "dataset": doc["dataset"],
+               "segment": segment, "params": segment.setdefault("params", {}),
+               "model": doc["model"], "train": doc["train"], "suite": doc["suite"]}
+    if where in section:
+        section[where][key] = value
+    elif where == "technique":
+        doc["techniques"].append({"kind": "baseline", key: value})
+    elif where == "loss":
+        doc["techniques"].append({"kind": "loss", "loss": "huber", key: value})
+    elif where.startswith("augment:"):
+        doc["techniques"].append({"kind": "augment", "augment": {"kind": tagged, key: value}})
+    else:
+        doc["techniques"].append({"kind": "preprocess", "steps": [{"op": tagged, key: value}]})
+    with pytest.raises(ConfigError, match=rf": {re.escape(key)}(\[\d\])* must be "):
+        parse_suite_config(doc)
