@@ -12,10 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WindowedDataset
+from .data import WindowedDataset, check_stds
 from .errors import ShapeError
 
-ROTATION_NAMES = ("T1", "T2", "T3")
+# the three fixed 30-degree rotations, as matrix rows: T1 rotates about the
+# z axis, T2 about x, T3 about y
+_C, _S = np.cos(np.pi / 6), np.sin(np.pi / 6)
+_ROTATIONS = {
+    "T1": ((_C, _S, 0.0), (-_S, _C, 0.0), (0.0, 0.0, 1.0)),
+    "T2": ((1.0, 0.0, 0.0), (0.0, _C, _S), (0.0, -_S, _C)),
+    "T3": ((_C, 0.0, -_S), (0.0, 1.0, 0.0), (_S, 0.0, _C)),
+}
+ROTATION_NAMES = tuple(_ROTATIONS)
 
 # default noise schedule: accel stds 0.1/0.25/0.5 m/s^2, gyro scaled by the
 # same multipliers from 0.001 rad/s
@@ -24,7 +32,7 @@ DEFAULT_NOISE_SCHEDULE = ((0.1, 0.001), (0.25, 0.0025), (0.5, 0.005))
 
 @dataclass(frozen=True)
 class AugmentationSpec:
-    kind: str  # rotation | bias | noise
+    kind: str  # a key of AUGMENTATIONS
     rotation_axes: tuple[str, ...] = ("T1",)
     sigma_acc: float = 0.1
     sigma_gyro: float = 0.001
@@ -32,14 +40,13 @@ class AugmentationSpec:
     noise_schedule: tuple[tuple[float, float], ...] = DEFAULT_NOISE_SCHEDULE
 
     def __post_init__(self):
-        if self.kind not in ("rotation", "bias", "noise"):
+        if self.kind not in AUGMENTATIONS:
             raise ShapeError(f"unknown augmentation kind '{self.kind}'")
         if self.kind == "rotation" and not self.rotation_axes:
             raise ShapeError("rotation augmentation needs at least one axis")
         for name in self.rotation_axes:
             rotation_matrix(name)  # raises for an unknown name
-        if self.sigma_acc < 0 or self.sigma_gyro < 0:
-            raise ShapeError("augmentation stds must be non-negative")
+        check_stds(self.sigma_acc, self.sigma_gyro, *(s for p in self.noise_schedule for s in p))
         if self.bias_copies not in (1, 3):
             raise ShapeError(f"bias copies must be 1 or 3, got {self.bias_copies}")
         if self.kind == "noise" and not self.noise_schedule:
@@ -47,19 +54,10 @@ class AugmentationSpec:
 
 
 def rotation_matrix(which: str) -> np.ndarray:
-    """One of the three fixed 30-degree rotation matrices.
-
-    T1 rotates about the z axis, T2 about x, T3 about y.
-    """
-    c = np.cos(np.pi / 6)
-    s = np.sin(np.pi / 6)
-    if which == "T1":
-        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    if which == "T2":
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-    if which == "T3":
-        return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    raise ShapeError(f"unknown rotation matrix '{which}'")
+    """A new array holding the fixed rotation matrix ``which`` (T1, T2 or T3)."""
+    if which not in _ROTATIONS:
+        raise ShapeError(f"unknown rotation matrix '{which}'")
+    return np.array(_ROTATIONS[which])
 
 
 def rotate_samples(window: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -81,8 +79,10 @@ def _append(ds: WindowedDataset, copies: list[np.ndarray]) -> WindowedDataset:
     return WindowedDataset(windows, labels, ds.descriptor)
 
 
-def augment_rotation(ds: WindowedDataset, spec: AugmentationSpec) -> WindowedDataset:
-    """Append one rotated copy of the dataset per selected matrix."""
+def augment_rotation(ds: WindowedDataset, spec: AugmentationSpec,
+                     rng: np.random.Generator | None = None) -> WindowedDataset:
+    """Append one rotated copy of the dataset per selected matrix; ``rng`` is
+    unused, so that every augmentation takes the same arguments."""
     if spec.kind != "rotation":
         raise ShapeError(f"expected rotation spec, got '{spec.kind}'")
     copies = [rotate_samples(ds.windows, rotation_matrix(n)) for n in spec.rotation_axes]
@@ -121,10 +121,10 @@ def augment_noise(ds: WindowedDataset, spec: AugmentationSpec,
     return _append(ds, copies)
 
 
+# augmentation kind -> function(dataset, spec, rng)
+AUGMENTATIONS = {"rotation": augment_rotation, "bias": augment_bias, "noise": augment_noise}
+
+
 def apply_augmentation(ds: WindowedDataset, spec: AugmentationSpec,
                        rng: np.random.Generator) -> WindowedDataset:
-    if spec.kind == "rotation":
-        return augment_rotation(ds, spec)
-    if spec.kind == "bias":
-        return augment_bias(ds, spec, rng)
-    return augment_noise(ds, spec, rng)
+    return AUGMENTATIONS[spec.kind](ds, spec, rng)

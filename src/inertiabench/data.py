@@ -249,6 +249,12 @@ def window_dataset(series: InertialSeries, gt: GroundTruth,
 # synthetic trajectories
 
 
+def check_stds(*stds: float) -> None:
+    """Raise ShapeError unless every noise std is finite and >= 0 (NaN is not)."""
+    if not all(0 <= std < np.inf for std in stds):
+        raise ShapeError(f"noise stds must be finite and non-negative, got {list(stds)}")
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Parameters for the analytic planar trajectory generator."""
@@ -285,8 +291,7 @@ class SyntheticSegment:
                              f"{self.duration} s at {self.rate} Hz")
         if self.gt_rate is not None and not self.gt_rate > 0:
             raise ShapeError(f"ground-truth rate must be > 0, got {self.gt_rate}")
-        if not (self.noise_acc >= 0 and self.noise_gyro >= 0):
-            raise ShapeError("noise stds must be non-negative")
+        check_stds(self.noise_acc, self.noise_gyro)
         if self.seed < 0:
             raise ShapeError(f"noise seed must be >= 0, got {self.seed}")
 

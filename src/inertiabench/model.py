@@ -18,14 +18,13 @@ from .errors import NumericError, ParseError, ShapeError, UsageError
 from .kernels import Adam, BiLSTM, Conv1d, ConvSpec, Dense, Dropout, DropoutSpec, MaxPool1d, ReLU
 from .losses import LossSpec, compute_loss
 
-HEAD_MODES = ("single", "head2", "head3")
-
 # channel groups per head mode: indices into (fx, fy, fz, wx, wy, wz)
 _GROUPS = {
     "single": ([0, 1, 2, 3, 4, 5],),
     "head2": ([0, 1, 2], [3, 4, 5]),
     "head3": ([0, 3], [1, 4], [2, 5]),
 }
+HEAD_MODES = tuple(_GROUPS)
 
 CHECKPOINT_VERSION = 1
 

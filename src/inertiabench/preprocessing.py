@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import CHANNELS, InertialSeries
+from .data import CHANNELS, InertialSeries, check_stds
 from .errors import DegenerateChannelError, ShapeError
 
 
@@ -39,8 +39,7 @@ class AddNoiseStep:
     sigma_gyro: float = 0.001
 
     def __post_init__(self):
-        if self.sigma_acc < 0 or self.sigma_gyro < 0:
-            raise ShapeError("noise stds must be non-negative")
+        check_stds(self.sigma_acc, self.sigma_gyro)
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,13 @@ STEP_TYPES = (DenoiseStep, AddNoiseStep, NormalizeStep, DetrendStep)
 
 @dataclass(frozen=True)
 class PreprocSpec:
-    """Ordered preprocessing pipeline; an empty list is the baseline."""
+    """Ordered preprocessing pipeline of at least one step."""
 
-    steps: tuple = ()
+    steps: tuple
 
     def __post_init__(self):
+        if not self.steps:
+            raise ShapeError("preprocessing needs at least one step")
         for s in self.steps:
             if not isinstance(s, STEP_TYPES):
                 raise ShapeError(f"unknown preprocessing step {s!r}")

@@ -73,6 +73,11 @@ class DatasetSpec:
             if seg.rate != self.descriptor.sampling_rate:
                 raise ConfigError(f"synthetic segment rate {seg.rate} Hz differs from the "
                                   f"descriptor's sampling rate {self.descriptor.sampling_rate} Hz")
+        paths = [p for p in (self.imu_csv, self.gt_pos_csv, self.gt_heading_csv)
+                 if p is not None]
+        if self.synthetic and paths:
+            raise ConfigError(f"dataset takes synthetic segments or csv paths, not both; "
+                              f"got csv paths {paths}")
         if self.synthetic:
             return
         if self.imu_csv is None:
@@ -132,8 +137,7 @@ def _write_tagged(spec, family: dict, tag: str) -> dict:
 # for errors, write gives those keys back, name gives the name fragment
 TECHNIQUE_KINDS = {
     "baseline": None,
-    "head2": None,
-    "head3": None,
+    **{mode: None for mode in HEAD_MODES if mode != "single"},
     "loss": (lambda e, c: _build(LossSpec, e, c, LOSS_KEYS, required=("loss",)),
              lambda s: _dump(s, LOSS_KEYS), lambda s: s.kind),
     "augment": (
@@ -142,7 +146,7 @@ TECHNIQUE_KINDS = {
         lambda a: {"augment": _write_tagged(a, AUGMENT_KINDS, "kind")},
         lambda a: AUGMENT_KINDS[a.kind][2](a)),
     "preprocess": (
-        lambda e, c: PreprocSpec(tuple(
+        lambda e, c: _make(PreprocSpec, c, steps=tuple(
             _read_tagged(s, STEP_OPS, "op", f"{c}.steps[{i}]")
             for i, s in enumerate(_value(list, _sole(e, "steps", c), c, "steps")))),
         lambda p: {"steps": [_write_tagged(s, STEP_OPS, "op") for s in p.steps]},
@@ -194,17 +198,6 @@ class TechniqueSpec:
         return out
 
 
-def _check_run(cfg):
-    """Checks shared by ExperimentConfig and SuiteConfig."""
-    if not (0.0 < cfg.train_fraction < 1.0):
-        raise ConfigError(f"train fraction must be in (0, 1): {cfg.train_fraction}")
-    window, m = cfg.dataset.descriptor.window_size, cfg.model
-    conv = ConvSpec(6, m.conv_filters, m.kernel_size, m.stride)  # the single head's conv
-    if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
-        raise ConfigError(f"window size {window} is too short for conv kernel "
-                          f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
@@ -214,7 +207,13 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self):
-        _check_run(self)
+        if not (0.0 < self.train_fraction < 1.0):
+            raise ConfigError(f"train fraction must be in (0, 1): {self.train_fraction}")
+        window, m = self.dataset.descriptor.window_size, self.model
+        conv = ConvSpec(6, m.conv_filters, m.kernel_size, m.stride)  # the single head's conv
+        if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
+            raise ConfigError(f"window size {window} is too short for conv kernel "
+                              f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,12 @@ class SuiteConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        _check_run(self)
+        self.experiment(TechniqueSpec("baseline"))  # the checks every run makes
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
+        repeated = _repeated([t.name for t in self.techniques])
+        if repeated:
+            raise ConfigError(f"repeated technique name(s) {repeated}")
 
     def experiment(self, technique: TechniqueSpec) -> ExperimentConfig:
         return ExperimentConfig(dataset=self.dataset, model=self.model,
@@ -351,12 +353,12 @@ def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
             recordings = load_recordings(exp.dataset)
     _read_only(recordings)
 
-    preproc = technique.preprocess if technique.kind == "preprocess" else PreprocSpec()
-    detrend = any(isinstance(s, DetrendStep) for s in preproc.steps)
+    steps = technique.preprocess.steps if technique.preprocess else ()
+    detrend = any(isinstance(s, DetrendStep) for s in steps)
 
     with _stage("preprocess"):
         rng = np.random.default_rng([seed, 4])
-        for step in preproc.steps:
+        for step in steps:
             if isinstance(step, DenoiseStep):
                 recordings = [(moving_average(s, step.window), g) for s, g in recordings]
             elif isinstance(step, AddNoiseStep):
@@ -573,6 +575,10 @@ def emit_outputs(reports: list[BenchReport], suite: SuiteConfig, out_dir,
 # config files
 
 
+def _repeated(items: list) -> list:
+    return sorted({x for x in items if items.count(x) > 1})
+
+
 def _section(value, context: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be an object, got {value!r}")
@@ -639,8 +645,13 @@ def _build(cls, section, context: str, keys=None, required=(), **fixed):
            [k for k, f in keys.items() if f in no_default] + list(required), context)
     types = get_type_hints(cls)
     kwargs = {keys[k]: _value(types[keys[k]], v, context, k) for k, v in section.items()}
+    return _make(cls, context, **kwargs, **fixed)
+
+
+def _make(cls, context: str, **kwargs):
+    """``cls(**kwargs)``; a value the class rejects raises ConfigError."""
     try:
-        return cls(**kwargs, **fixed)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
@@ -654,11 +665,8 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
     inner = TECHNIQUE_KINDS[kind]
     if inner is None:
         _check(entry, (), (), context)
-    specs = {} if inner is None else {kind: inner[0](entry, context)}
-    try:
-        return TechniqueSpec(kind, label=label, **specs)
-    except ConfigError as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
+        return TechniqueSpec(kind, label=label)
+    return TechniqueSpec(kind, label=label, **{kind: inner[0](entry, context)})
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
@@ -678,10 +686,24 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         train=_build(TrainConfig, doc.get("train", {}), "train", _keys(TrainConfig, "loss")))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError."""
+    repeated = _repeated([k for k, _ in pairs])
+    if repeated:
+        raise ValueError(f"repeated key(s) {repeated}")
+    return dict(pairs)
+
+
+def _json_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def load_suite_config(path) -> SuiteConfig:
+    """The suite of a strict JSON file: no NaN or Infinity, no repeated key."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_json_constant,
+                            object_pairs_hook=_json_object)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_suite_config(doc)

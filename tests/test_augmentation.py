@@ -170,3 +170,19 @@ class TestSpecValidation:
     def test_noise_needs_schedule(self):
         with pytest.raises(ShapeError):
             AugmentationSpec("noise", noise_schedule=())
+
+    @pytest.mark.parametrize("kind, options", [
+        ("bias", {"sigma_acc": -0.1}),
+        ("bias", {"sigma_gyro": -0.001}),
+        ("bias", {"sigma_acc": float("nan")}),
+        ("noise", {"noise_schedule": ((-0.1, 0.001),)}),
+        ("noise", {"noise_schedule": ((0.1, 0.001), (0.25, float("nan")))}),
+    ])
+    def test_negative_or_nan_std_rejected(self, kind, options):
+        with pytest.raises(ShapeError, match="noise stds must be finite and non-negative"):
+            AugmentationSpec(kind, **options)
+
+    def test_rotation_matrix_is_a_new_array(self):
+        first = rotation_matrix("T1")
+        first[...] = 0.0
+        np.testing.assert_array_equal(rotation_matrix("T1") @ [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])

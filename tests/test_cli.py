@@ -231,7 +231,9 @@ class TestOneLineErrors:
                                       "synth-negative-noise", "synth-negative-seed",
                                       "bench-fractional-repetitions",
                                       "train-negative-seed",
-                                      "unhashable-technique-kind", "imu-csv-zero"])
+                                      "unhashable-technique-kind", "imu-csv-zero",
+                                      "config-nan", "config-infinity",
+                                      "config-repeated-key"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
         out = str(tmp_path / "out")
@@ -323,6 +325,19 @@ class TestOneLineErrors:
             path = tmp_path / "suite.json"
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
+        elif case.startswith("config-"):
+            # not strict JSON: Python's json module would read these
+            def no_run(suite):
+                raise AssertionError("run_suite called")
+            monkeypatch.setattr("inertiabench.cli.run_suite", no_run)
+            text = json.dumps(TINY_CONFIG)
+            text = text.replace('"epochs": 1', {
+                "config-nan": '"epochs": 1, "learning_rate": NaN',
+                "config-infinity": '"epochs": 1, "learning_rate": -Infinity',
+                "config-repeated-key": '"epochs": 1, "epochs": 2'}[case])
+            path = tmp_path / "suite.json"
+            path.write_text(text)
+            argv = ["bench", "--config", str(path), "--out-dir", out]
         elif case.startswith("synth-"):
             flags = {"synth-zero-duration": ["--duration", "0"],
                      "synth-zero-rate": ["--rate", "0"],
@@ -346,6 +361,8 @@ class TestOneLineErrors:
         assert not (tmp_path / "out" / "report.json").exists()
         if case == "unloadable-recordings":
             assert err.startswith("error: [parse] ")
+        if case.startswith("config-"):
+            assert err.startswith(f"error: cannot read config {path}: ")
         if case == "train-negative-seed":
             assert "--seed" in err and not (tmp_path / "model.npz").exists()
         assert not list(tmp_path.rglob("*.csv"))

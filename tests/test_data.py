@@ -114,6 +114,15 @@ class TestCsvRoundTrip:
         back = parse_gt_pos_csv(tmp_path / "gt_pos.csv")
         np.testing.assert_array_equal(back.position, gt.position)
 
+    def test_writing_a_missing_track_rejected(self, tmp_path):
+        t = np.array([0.0, 1.0])
+        with pytest.raises(DataError, match="no positions"):
+            write_gt_pos_csv(tmp_path / "gt_pos.csv", GroundTruth(t, heading=np.zeros(2)))
+        with pytest.raises(DataError, match="no heading"):
+            write_gt_heading_csv(tmp_path / "gt_heading.csv",
+                                 GroundTruth(t, position=np.zeros((2, 3))))
+        assert not list(tmp_path.iterdir())
+
 
 class TestAlignment:
     def test_linear_position_interpolation(self):
@@ -309,6 +318,8 @@ class TestSynthesizer:
         ({"gt_rate": -1.0}, "ground-truth rate"),
         ({"noise_acc": -0.1}, "non-negative"),
         ({"noise_gyro": -0.1}, "non-negative"),
+        ({"noise_acc": float("nan")}, "finite and non-negative"),
+        ({"noise_gyro": float("inf")}, "finite and non-negative"),
     ])
     def test_segment_rejects_degenerate_recording(self, options, match):
         with pytest.raises(ShapeError, match=match):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inertiabench.errors import NumericError, ShapeError
+from inertiabench.errors import NumericError, ShapeError, UsageError
 from inertiabench.kernels import (
     Adam,
     BiLSTM,
@@ -73,6 +73,12 @@ class TestConv1d:
     def test_non_finite_input_rejected(self):
         with pytest.raises(NumericError):
             conv1d_forward([1.0, np.nan, 3.0], [[1.0, -1.0]], 0.0)
+
+    @pytest.mark.parametrize("field", ["in_channels", "filters", "kernel", "stride"])
+    def test_invalid_spec(self, field):
+        sizes = {"in_channels": 2, "filters": 1, "kernel": 2, "stride": 1, field: 0}
+        with pytest.raises(ShapeError, match="invalid conv spec"):
+            ConvSpec(**sizes)
 
 
 class TestRelu:
@@ -148,6 +154,16 @@ class TestBiLstm:
         with pytest.raises(ShapeError):
             BiLSTM(2, 3).forward(np.zeros((1, 4, 5)))
 
+    def test_params_validate(self):
+        params = LstmParams.zeros(2, 3)
+        params.validate()
+        params.bwd_b = np.zeros(3)
+        with pytest.raises(ShapeError, match=r"bwd_b has shape \(3,\), expected \(12,\)"):
+            params.validate()
+        params.bwd_b = np.full(12, np.nan)
+        with pytest.raises(NumericError, match="bwd_b contains non-finite values"):
+            params.validate()
+
     def test_init_draw_order(self):
         # the weights take uniform +-1/sqrt(fan_in) draws in the order
         # fwd_wx, fwd_wh, bwd_wx, bwd_wh; the biases start at zero
@@ -218,6 +234,10 @@ class TestDropout:
         with pytest.raises(ShapeError):
             DropoutSpec(1.0)
 
+    def test_train_mode_needs_an_rng(self):
+        with pytest.raises(UsageError, match="needs an rng"):
+            Dropout(DropoutSpec(0.5)).forward(np.ones((2, 3)), train=True)
+
 
 class TestDense:
     def test_identity_weights(self):
@@ -238,8 +258,19 @@ class TestDense:
         with pytest.raises(ShapeError):
             fc_forward(np.ones(4), params)
 
+    def test_validate(self):
+        with pytest.raises(ShapeError, match="inconsistent dense shapes"):
+            DenseParams(np.eye(3), np.zeros(2)).validate()
+        with pytest.raises(NumericError, match="non-finite"):
+            DenseParams(np.eye(3), np.array([0.0, np.inf, 0.0])).validate()
+
 
 class TestAdam:
+    @pytest.mark.parametrize("lr", [0.0, -0.001])
+    def test_learning_rate_must_be_positive(self, lr):
+        with pytest.raises(ShapeError, match="learning rate must be > 0"):
+            Adam(lr=lr)
+
     def test_first_step_hand_value(self):
         params = {"p": np.zeros(1)}
         opt = Adam(lr=0.001)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ class TestBuild:
     def test_invalid_head_mode(self):
         with pytest.raises(ShapeError):
             ModelConfig(head_mode="head4")
+
+    @pytest.mark.parametrize("field", ["conv_filters", "kernel_size", "stride", "pool_depth",
+                                       "lstm_hidden", "fc_width", "output_dim"])
+    def test_invalid_model_size(self, field):
+        with pytest.raises(ShapeError, match="invalid model config"):
+            ModelConfig(**{field: 0})
+
+    @pytest.mark.parametrize("options", [{"epochs": 0}, {"batch_size": 0},
+                                         {"learning_rate": 0.0}])
+    def test_invalid_training_config(self, options):
+        with pytest.raises(ShapeError, match="invalid training config"):
+            TrainConfig(**options)
 
 
 class TestPredict:
@@ -159,6 +173,15 @@ class TestCheckpoint:
         edit(arrays)
         np.savez(path, **arrays)
         return path
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        def bump(arrays):
+            meta = json.loads(arrays["__meta__"].tobytes().decode())
+            meta["version"] += 1
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = self._rewrite(tmp_path, bump)
+        with pytest.raises(UsageError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = self._rewrite(tmp_path, lambda a: a.pop("param/head.b"))

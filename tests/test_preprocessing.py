@@ -4,6 +4,9 @@ import pytest
 from inertiabench.data import InertialSeries
 from inertiabench.errors import DegenerateChannelError, ShapeError
 from inertiabench.preprocessing import (
+    AddNoiseStep,
+    DenoiseStep,
+    PreprocSpec,
     add_measurement_noise,
     apply_channel_stats,
     detrend_linear,
@@ -68,6 +71,22 @@ class TestAddNoise:
         a = add_measurement_noise(s, 0.1, 0.01, np.random.default_rng(3))
         b = add_measurement_noise(s, 0.1, 0.01, np.random.default_rng(3))
         np.testing.assert_array_equal(a.imu, b.imu)
+
+    @pytest.mark.parametrize("stds", [(-0.1, 0.0), (0.0, -0.001), (float("nan"), 0.0),
+                                      (0.0, float("inf"))])
+    def test_negative_or_non_finite_std_rejected(self, stds):
+        with pytest.raises(ShapeError, match="noise stds must be finite and non-negative"):
+            AddNoiseStep(*stds)
+
+
+class TestPreprocSpec:
+    def test_needs_a_step(self):
+        with pytest.raises(ShapeError, match="at least one step"):
+            PreprocSpec(())
+
+    def test_rejects_a_non_step(self):
+        with pytest.raises(ShapeError, match="unknown preprocessing step 'denoise'"):
+            PreprocSpec((DenoiseStep(3), "denoise"))
 
 
 class TestNormalize:

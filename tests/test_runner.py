@@ -11,7 +11,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from inertiabench.augmentation import AugmentationSpec
+from inertiabench.augmentation import AUGMENTATIONS, AugmentationSpec
 from inertiabench.data import (
     DatasetDescriptor,
     InertialSeries,
@@ -20,7 +20,13 @@ from inertiabench.data import (
     write_gt_pos_csv,
     write_imu_csv,
 )
-from inertiabench.errors import ConfigError, DataError, DegenerateChannelError, StageError
+from inertiabench.errors import (
+    ConfigError,
+    DataError,
+    DegenerateChannelError,
+    ShapeError,
+    StageError,
+)
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
 from inertiabench.preprocessing import (
@@ -336,6 +342,11 @@ class TestEmitOutputs:
                             repetitions=1, base_seed=3)
         return run_suite(suite), suite
 
+    def test_no_reports_rejected(self, tmp_path):
+        with pytest.raises(ShapeError, match="no reports to emit"):
+            emit_outputs([], None, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_json_round_trips(self, tmp_path):
         reports, suite = self.make_reports()
         paths = emit_outputs(reports, suite, tmp_path)
@@ -454,6 +465,23 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_suite_config(path)
+
+    def test_augment_kinds_are_the_augmentations(self):
+        # the config table and the implementation table name the same kinds
+        assert set(AUGMENT_KINDS) == set(AUGMENTATIONS)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "distill"}, "unknown technique kind 'distill'"),
+        ({"kind": "loss"}, "technique 'loss' takes exactly its own inner spec, got loss=None"),
+        ({"kind": "baseline", "loss": LossSpec()},
+         "technique 'baseline' takes exactly its own inner spec, got loss="),
+        ({"kind": "augment", "augment": AugmentationSpec("noise"),
+          "preprocess": PreprocSpec((DetrendStep(),))},
+         "technique 'augment' takes exactly its own inner spec, got preprocess="),
+    ])
+    def test_technique_spec_takes_its_own_inner_spec_only(self, kwargs, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            TechniqueSpec(**kwargs)
 
     def test_technique_names(self):
         suite = parse_suite_config(json.loads(json.dumps(CONFIG_DOC)))
@@ -581,6 +609,22 @@ class TestConfigParsing:
          "invalid config: techniques must be a list"),
         ("techniques", {"kind": "baseline", "name": 5},
          r"invalid techniques\[6\]: name must be a string, got 5"),
+        # inputs that could only fail or corrupt every run
+        ("techniques", {"kind": "preprocess", "steps": []},
+         r"invalid techniques\[6\]: preprocessing needs at least one step"),
+        ("techniques", {"kind": "augment",
+                        "augment": {"kind": "noise", "schedule": [[-0.1, 0.001]]}},
+         r"invalid techniques\[6\]\.augment: noise stds must be finite and non-negative"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "bias", "sigma_acc": float("nan")}},
+         r"invalid techniques\[6\]\.augment: noise stds must be finite and non-negative"),
+        ("dataset", {"imu_csv": "imu.csv", "gt_pos_csv": "gt_pos.csv"},
+         r"invalid dataset: dataset takes synthetic segments or csv paths, not both"),
+        ("dataset", {"synthetic": []},
+         "invalid dataset: dataset needs synthetic segments or csv paths"),
+        ("techniques", {"kind": "head2", "name": "baseline"},
+         r"invalid suite: repeated technique name\(s\) \['baseline'\]"),
+        ("techniques", {"kind": "augment", "augment": {"kind": "bias", "copies": 3}},
+         r"invalid suite: repeated technique name\(s\) \['augment-bias-x3'\]"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
