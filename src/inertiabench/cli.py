@@ -18,13 +18,13 @@ from .data import (
     write_imu_csv,
 )
 from .errors import InertiaBenchError, ParseError, UsageError
-from .losses import metric_rmse
 from .model import load_checkpoint, save_checkpoint
 from .runner import (
     BenchReport,
     ExperimentConfig,
     check_formats,
     emit_outputs,
+    evaluate_model,
     fit_model,
     load_suite_config,
     prepare_run,
@@ -89,7 +89,7 @@ def _cmd_eval(args):
         raise UsageError(f"checkpoint predicts {model.config.output_dim} value(s) per "
                          f"window, but the dataset's labels have {label_dim}")
     _, test_ds, _ = prepare_run(exp, args.seed)
-    rmse = metric_rmse(test_ds.labels, model.predict(test_ds.windows))
+    rmse = evaluate_model(model, test_ds)
     print(f"test RMSE {rmse:.6g}")
     return 0
 

@@ -85,7 +85,7 @@ class DatasetDescriptor:
     target_kind: str
 
     def __post_init__(self):
-        if self.window_size < 1 or self.stride < 1 or self.sampling_rate <= 0:
+        if self.window_size < 1 or self.stride < 1 or not 0 < self.sampling_rate < np.inf:
             raise ShapeError(f"invalid descriptor: {self}")
         if self.target_kind not in TARGET_KINDS:
             raise ShapeError(f"unknown target kind '{self.target_kind}'")

@@ -51,7 +51,7 @@ class DropoutSpec:
 
 
 def _lstm_shapes(input_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each BiLSTM parameter, in initialization order."""
+    """Shape of each ``LstmParams`` array."""
     g = 4 * hidden_size
     per_direction = {"wx": (g, input_size), "wh": (g, hidden_size), "b": (g,)}
     return {f"{d}_{name}": shape for d in ("fwd", "bwd")
@@ -244,6 +244,9 @@ class BiLSTM(Layer):
     Output is (batch, 2*hidden, steps): forward-direction hidden states
     stacked on top of backward-direction ones for every time step.
 
+    The one parameter ``w`` is (2, 4H, 1 + C + H): per direction (fwd, bwd)
+    the bias column, ``Wx`` and ``Wh``, the layout its GEMMs read and write.
+
     Both directions run in one loop on stacked ``(2, batch, ...)`` arrays,
     each direction reading the sequence in its own order.  ``backward``
     reuses the cached gate buffer for the gate gradients, so every
@@ -255,18 +258,12 @@ class BiLSTM(Layer):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        for name, shape in _lstm_shapes(input_size, hidden_size).items():
-            # biases start at zero; a weight's fan-in is its column count
-            self.params[name] = (np.zeros(shape) if name.endswith("_b")
-                                 else _init_uniform(rng, shape, shape[1]))
-
-    def _packed(self):
-        """``(2, 4H, 1 + C + H)``: ``[b, wx, wh]`` of the fwd and bwd directions."""
-        return np.stack([
-            np.concatenate([self.params[f"{d}_b"][:, None], self.params[f"{d}_wx"],
-                            self.params[f"{d}_wh"]], axis=1)
-            for d in ("fwd", "bwd")
-        ])
+        g, c, h = 4 * hidden_size, input_size, hidden_size
+        w = np.zeros((2, g, 1 + c + h))
+        for wd in w:  # biases start at zero; a weight's fan-in is its column count
+            wd[:, 1 : 1 + c] = _init_uniform(rng, (g, c), c)
+            wd[:, 1 + c :] = _init_uniform(rng, (g, h), h)
+        self.params["w"] = w
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.input_size:
@@ -288,8 +285,7 @@ class BiLSTM(Layer):
         # activate all four gates
         half = np.full((4 * h, 1), 0.5)
         half[2 * h : 3 * h] = 1.0
-        w = self._packed()
-        w *= half
+        w = self.params["w"] * half
         # the input projections of all steps in one GEMM per direction; the
         # recurrence adds h @ wh.T and activates in place, so ``gates`` ends
         # up holding every step's i, f, g, o activations
@@ -327,7 +323,8 @@ class BiLSTM(Layer):
         self._cache = None
         _, t, b, _ = gates.shape
         h, c = self.hidden_size, self.input_size
-        wh = np.stack([self.params["fwd_wh"], self.params["bwd_wh"]])
+        w = self.params["w"]
+        wh = w[:, :, 1 + c :]
         dh, dc, tc, u, v = (np.empty((2, b, h)) for _ in range(5))
         dc[...] = 0.0
         for k in range(t - 1, -1, -1):
@@ -373,13 +370,10 @@ class BiLSTM(Layer):
         dz = gates.reshape(2, t * b, 4 * h)
         gw = np.matmul(dz.transpose(0, 2, 1), xh[:, :t].reshape(2, t * b, 1 + c + h))
         del xh, cs  # release the rest of the cache before the input gradient
-        for d, direction in enumerate(("fwd", "bwd")):
-            self.grads[f"{direction}_b"] = gw[d, :, 0]
-            self.grads[f"{direction}_wx"] = gw[d, :, 1 : 1 + c]
-            self.grads[f"{direction}_wh"] = gw[d, :, 1 + c :]
+        self.grads["w"] = gw
         # input gradient: one GEMM per direction, summed in natural time order
-        gx = np.matmul(dz[0], self.params["fwd_wx"]).reshape(t, b, c)
-        gx += np.matmul(dz[1], self.params["bwd_wx"]).reshape(t, b, c)[::-1]
+        gx = np.matmul(dz[0], w[0, :, 1 : 1 + c]).reshape(t, b, c)
+        gx += np.matmul(dz[1], w[1, :, 1 : 1 + c]).reshape(t, b, c)[::-1]
         del gates, dz
         return np.ascontiguousarray(gx.transpose(1, 2, 0))
 
@@ -446,8 +440,8 @@ class Adam:
     BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
     def __init__(self, lr=0.001):
-        if lr <= 0:
-            raise ShapeError(f"Adam learning rate must be > 0, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ShapeError(f"Adam learning rate must be > 0 and finite, got {lr}")
         self.lr = lr
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
@@ -508,8 +502,11 @@ def maxpool1d(x, depth: int):
 def bilstm_forward(x, params: LstmParams):
     params.validate()
     layer = BiLSTM(params.input_size, params.hidden_size)
-    for name in layer.params:
-        layer.params[name] = np.array(getattr(params, name), dtype=float)
+    c = params.input_size
+    for w, d in zip(layer.params["w"], ("fwd", "bwd")):
+        w[:, 0] = getattr(params, f"{d}_b")
+        w[:, 1 : 1 + c] = getattr(params, f"{d}_wx")
+        w[:, 1 + c :] = getattr(params, f"{d}_wh")
     return layer.forward(np.asarray(x, dtype=float)[None])[0]
 
 

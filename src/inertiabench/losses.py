@@ -23,8 +23,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ShapeError(f"unknown loss kind '{self.kind}'")
-        if self.delta <= 0:
-            raise ShapeError(f"huber delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ShapeError(f"huber delta must be positive and finite, got {self.delta}")
 
 
 def compute_loss(spec: LossSpec, y, y_hat) -> tuple[float, np.ndarray]:

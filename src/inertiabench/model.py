@@ -26,7 +26,7 @@ _GROUPS = {
 }
 HEAD_MODES = tuple(_GROUPS)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class TrainConfig:
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.learning_rate < np.inf:
             raise ShapeError(f"invalid training config: {self}")
 
 

@@ -182,6 +182,16 @@ class TestSpecValidation:
         with pytest.raises(ShapeError, match="noise stds must be finite and non-negative"):
             AugmentationSpec(kind, **options)
 
+    @pytest.mark.parametrize("augment, spec", [
+        (augment_rotation, AugmentationSpec("bias")),
+        (augment_bias, AugmentationSpec("noise")),
+        (augment_noise, AugmentationSpec("rotation")),
+    ])
+    def test_augment_rejects_another_kinds_spec(self, augment, spec):
+        expected = augment.__name__.removeprefix("augment_")
+        with pytest.raises(ShapeError, match=f"expected {expected} spec, got '{spec.kind}'"):
+            augment(make_dataset(), spec, np.random.default_rng(0))
+
     def test_rotation_matrix_is_a_new_array(self):
         first = rotation_matrix("T1")
         first[...] = 0.0

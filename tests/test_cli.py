@@ -133,6 +133,33 @@ class TestBench:
         assert code == 2
 
 
+    def test_non_finite_rmse_is_a_failed_run(self, tmp_path):
+        # one Adam step at this rate sends the weights beyond float range; the
+        # loss of that step was computed before it, so only evaluate sees it
+        doc = {"dataset": {"descriptor": {"name": "circle", "sampling_rate": 120.0,
+                                          "window_size": 60, "stride": 30,
+                                          "target_kind": "distance_xy"},
+                           "synthetic": [{"kind": "circle", "duration": 20.0, "rate": 120.0}]},
+               "model": {"conv_filters": 4, "lstm_hidden": 4, "fc_width": 8},
+               "train": {"epochs": 1, "learning_rate": 1e300},
+               "suite": {"repetitions": 1},
+               "techniques": [{"kind": "baseline"}]}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(doc))
+        # the diverged forward pass overflows; as errors, its warnings would
+        # fail the run in train instead
+        with np.errstate(all="ignore"), pytest.warns(
+                UserWarning, match=r"failed: \[evaluate\] test RMSE is not finite"):
+            code = main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+
+        def reject(name):
+            raise ValueError(f"{name} in report.json")
+        report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["techniques"][0]["failed_runs"] == 1
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, config_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -145,6 +172,17 @@ class TestTrainEval:
                      "--checkpoint", str(ckpt)])
         assert code == 0
         assert "test RMSE" in capsys.readouterr().out
+
+    def test_eval_of_a_non_finite_rmse_is_an_error(self, tmp_path, config_path, capsys):
+        # finite parameters whose predictions square beyond the float range
+        model = build_model(load_suite_config(config_path).model, model_init_rng(0))
+        model.head.params["b"][:] = 1e200
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(ckpt, model)
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: test RMSE is not finite (inf)\n"
 
     def test_unknown_technique_exits_one(self, tmp_path, config_path):
         code = main(["train", "--config", str(config_path),
@@ -222,6 +260,7 @@ class TestOneLineErrors:
                                       "checkpoint-empty",
                                       "checkpoint-npy-array",
                                       "checkpoint-non-finite",
+                                      "checkpoint-version-1",
                                       "unloadable-recordings",
                                       "unknown-trajectory-kind",
                                       "non-string-technique-name",
@@ -233,6 +272,9 @@ class TestOneLineErrors:
                                       "train-negative-seed",
                                       "unhashable-technique-kind", "imu-csv-zero",
                                       "config-nan", "config-infinity",
+                                      "config-overflowing-float",
+                                      "config-overflowing-delta",
+                                      "config-401-digit-int",
                                       "config-repeated-key"])
     def test_library_error_is_one_line(self, case, tmp_path, config_path, capsys,
                                        monkeypatch):
@@ -262,8 +304,18 @@ class TestOneLineErrors:
             if case == "checkpoint-without-meta":
                 np.savez(ckpt, **{"param/fc.b": np.zeros(8)})
             elif case == "checkpoint-unknown-config-key":
-                meta = json.dumps({"version": 1, "config": {"filters": 4}}).encode()
+                meta = json.dumps({"version": 2, "config": {"filters": 4}}).encode()
                 np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8))
+            elif case == "checkpoint-version-1":
+                # version 1 held the BiLSTM as six arrays
+                save_checkpoint(ckpt, build_model(load_suite_config(config_path).model,
+                                                  model_init_rng(0)))
+                with np.load(ckpt) as archive:
+                    arrays = {k: archive[k] for k in archive.files}
+                meta = json.loads(arrays["__meta__"].tobytes().decode())
+                arrays["__meta__"] = np.frombuffer(
+                    json.dumps({**meta, "version": 1}).encode(), dtype=np.uint8)
+                np.savez(ckpt, **arrays)
             elif case == "checkpoint-not-an-archive":
                 ckpt.write_text("not a checkpoint\n")
             elif case == "checkpoint-truncated":
@@ -326,15 +378,22 @@ class TestOneLineErrors:
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
         elif case.startswith("config-"):
-            # not strict JSON: Python's json module would read these
+            # Python's json module reads these: NaN and Infinity are not JSON,
+            # 1e400 reads as inf and a repeated key keeps its last value
             def no_run(suite):
                 raise AssertionError("run_suite called")
             monkeypatch.setattr("inertiabench.cli.run_suite", no_run)
+            old, new = {
+                "config-nan": ('"epochs": 1', '"epochs": 1, "learning_rate": NaN'),
+                "config-infinity": ('"epochs": 1', '"epochs": 1, "learning_rate": -Infinity'),
+                "config-overflowing-float": ('"epochs": 1', '"epochs": 1, "learning_rate": 1e400'),
+                "config-overflowing-delta": ('{"kind": "head2"}', '{"kind": "head2"}, '
+                                            '{"kind": "loss", "loss": "huber", "delta": 1e400}'),
+                "config-401-digit-int": ('"duration": 6.0', '"duration": 1' + "0" * 400),
+                "config-repeated-key": ('"epochs": 1', '"epochs": 1, "epochs": 2')}[case]
             text = json.dumps(TINY_CONFIG)
-            text = text.replace('"epochs": 1', {
-                "config-nan": '"epochs": 1, "learning_rate": NaN',
-                "config-infinity": '"epochs": 1, "learning_rate": -Infinity',
-                "config-repeated-key": '"epochs": 1, "epochs": 2'}[case])
+            assert old in text
+            text = text.replace(old, new)
             path = tmp_path / "suite.json"
             path.write_text(text)
             argv = ["bench", "--config", str(path), "--out-dir", out]
@@ -361,8 +420,12 @@ class TestOneLineErrors:
         assert not (tmp_path / "out" / "report.json").exists()
         if case == "unloadable-recordings":
             assert err.startswith("error: [parse] ")
-        if case.startswith("config-"):
+        if case == "config-repeated-key":
             assert err.startswith(f"error: cannot read config {path}: ")
+        elif case.startswith("config-"):
+            assert "must be finite, got " in err
+        if case == "checkpoint-version-1":
+            assert err == "error: unsupported checkpoint version 1\n"
         if case == "train-negative-seed":
             assert "--seed" in err and not (tmp_path / "model.npz").exists()
         assert not list(tmp_path.rglob("*.csv"))

@@ -8,6 +8,7 @@ from inertiabench.data import (
     GroundTruth,
     InertialSeries,
     SynthParams,
+    WindowedDataset,
     align_gt,
     make_windows,
     parse_gt_pos_csv,
@@ -370,6 +371,19 @@ class TestSeriesInvariants:
             InertialSeries(np.array([0.0, 1.0]),
                            np.array([[np.inf, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]))
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: InertialSeries(np.arange(3.0), np.zeros((3, 5))), r"imu must be \(3, 6\)"),
+        (lambda: GroundTruth(np.arange(3.0), position=np.zeros((3, 2))),
+         r"position must be \(3, 3\)"),
+        (lambda: GroundTruth(np.arange(3.0), heading=np.zeros(2)), r"heading must be \(3,\)"),
+        (lambda: WindowedDataset(np.zeros((3, 6, 4)), np.zeros((2, 1)),
+                                 DatasetDescriptor("d", 1.0, 4, 1, "heading")),
+         "window/label count mismatch"),
+    ], ids=["imu", "position", "heading", "window-count"])
+    def test_wrong_shape_rejected(self, make, match):
+        with pytest.raises(ShapeError, match=match):
+            make()
+
     def test_strictly_increasing_time(self):
         with pytest.raises(DataError):
             InertialSeries(np.array([0.0, 0.0]), np.zeros((2, 6)))
@@ -381,6 +395,9 @@ class TestSeriesInvariants:
     def test_descriptor_validation(self):
         with pytest.raises(ShapeError):
             DatasetDescriptor("d", 120.0, 0, 1, "distance_xy")
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(ShapeError):
+                DatasetDescriptor("d", rate, 10, 1, "distance_xy")
         with pytest.raises(ShapeError):
             DatasetDescriptor("d", 120.0, 10, 1, "velocity")
 

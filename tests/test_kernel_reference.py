@@ -98,6 +98,13 @@ def ref_bilstm(p, x, gout):
     return out, {**grads, **grads_b}, gx + gx_b
 
 
+def lstm_views(w, inputs):
+    """The six per-direction arrays of a packed BiLSTM ``w`` or its gradient, as views."""
+    cols = {"b": 0, "wx": slice(1, 1 + inputs), "wh": slice(1 + inputs, None)}
+    return {f"{d}_{name}": w[k][:, c] for k, d in enumerate(("fwd", "bwd"))
+            for name, c in cols.items()}
+
+
 def traced_peak(fn, *args):
     """Peak bytes that numpy allocates while ``fn(*args)`` runs."""
     tracemalloc.start()
@@ -164,13 +171,13 @@ def test_conv_matches_reference(batch, channels, steps, filters, kernel, stride)
 def test_bilstm_matches_reference(batch, inputs, steps, hidden):
     rng = np.random.default_rng(batch * 100 + steps)
     layer = BiLSTM(inputs, hidden, rng)
-    for d in ("fwd", "bwd"):
-        layer.params[f"{d}_b"] = rng.normal(size=4 * hidden)
+    layer.params["w"][:, :, 0] = rng.normal(size=(2, 4 * hidden))
     # large inputs drive some gates into saturation (tanh -> +-1)
     x = rng.normal(scale=3.0, size=(batch, inputs, steps))
     gout = rng.normal(size=(batch, 2 * hidden, steps))
-    want = ref_bilstm(layer.params, x, gout)
-    assert_matches(run_layer(layer, x, gout), want)
+    want = ref_bilstm(lstm_views(layer.params["w"], inputs), x, gout)
+    out, grads, gx = run_layer(layer, x, gout)
+    assert_matches((out, lstm_views(grads["w"], inputs), gx), want)
 
 
 def test_bilstm_backward_uses_latest_forward():
@@ -223,5 +230,5 @@ def test_bilstm_step_needs_no_more_memory_than_reference(inputs, steps):
     layer = BiLSTM(inputs, 128, rng)
     x = rng.normal(size=(64, inputs, steps))
     gout = rng.normal(size=(64, 256, steps))
-    ref = traced_peak(ref_bilstm, layer.params, x, gout)
+    ref = traced_peak(ref_bilstm, lstm_views(layer.params["w"], inputs), x, gout)
     assert traced_peak(run_layer, layer, x, gout) <= ref

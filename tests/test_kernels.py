@@ -145,8 +145,7 @@ class TestBiLstm:
         bwd_half = layer.forward(x)[:, 3:, :]
 
         mirror = BiLSTM(2, 3)
-        for name in ("wx", "wh", "b"):
-            mirror.params[f"fwd_{name}"] = layer.params[f"bwd_{name}"].copy()
+        mirror.params["w"][0] = layer.params["w"][1]
         fwd_on_reversed = mirror.forward(x[:, :, ::-1])[:, :3, :]
         np.testing.assert_allclose(bwd_half, fwd_on_reversed[:, :, ::-1], atol=1e-12)
 
@@ -168,36 +167,46 @@ class TestBiLstm:
         # the weights take uniform +-1/sqrt(fan_in) draws in the order
         # fwd_wx, fwd_wh, bwd_wx, bwd_wh; the biases start at zero
         i, h = 3, 4
-        layer = BiLSTM(i, h, np.random.default_rng(21))
+        w = BiLSTM(i, h, np.random.default_rng(21)).params["w"]
         rng = np.random.default_rng(21)
-        for d in ("fwd", "bwd"):
-            for name, fan_in in (("wx", i), ("wh", h)):
+        for wd in w:  # per direction [b | wx | wh]
+            for cols, fan_in in ((slice(1, 1 + i), i), (slice(1 + i, None), h)):
                 bound = 1.0 / np.sqrt(fan_in)
                 want = rng.uniform(-bound, bound, size=(4 * h, fan_in))
-                np.testing.assert_array_equal(layer.params[f"{d}_{name}"], want)
-            np.testing.assert_array_equal(layer.params[f"{d}_b"], np.zeros(4 * h))
+                np.testing.assert_array_equal(wd[:, cols], want)
+            np.testing.assert_array_equal(wd[:, 0], np.zeros(4 * h))
+
+    def test_one_packed_weight_and_gradient(self):
+        # per direction [b | wx | wh]: the array the GEMMs read and write
+        rng = np.random.default_rng(23)
+        layer = BiLSTM(3, 4, rng)
+        assert {k: v.shape for k, v in layer.params.items()} == {"w": (2, 16, 8)}
+        layer.forward(rng.normal(size=(2, 3, 5)))
+        layer.backward(rng.normal(size=(2, 8, 5)))
+        assert {k: v.shape for k, v in layer.grads.items()} == {"w": (2, 16, 8)}
 
 
 class TestInit:
-    # layer from a generator or None, and its drawn weights with their fan-in
-    # in draw order; every other parameter starts at zero
+    # layer from a generator or None, and its drawn weights (parameter name,
+    # index into it, fan-in) in draw order; everything else starts at zero
     LAYERS = {
-        "conv": (lambda rng: Conv1d(ConvSpec(2, 3, 4), rng), {"w": 8}),
-        "dense": (lambda rng: Dense(5, 3, rng), {"w": 5}),
-        "bilstm": (lambda rng: BiLSTM(3, 4, rng),
-                   {"fwd_wx": 3, "fwd_wh": 4, "bwd_wx": 3, "bwd_wh": 4}),
+        "conv": (lambda rng: Conv1d(ConvSpec(2, 3, 4), rng), [("w", np.s_[:], 8)]),
+        "dense": (lambda rng: Dense(5, 3, rng), [("w", np.s_[:], 5)]),
+        "bilstm": (lambda rng: BiLSTM(3, 4, rng),  # fwd wx, fwd wh, bwd wx, bwd wh
+                   [("w", np.s_[d, :, cols], fan_in) for d in (0, 1)
+                    for cols, fan_in in ((slice(1, 4), 3), (slice(4, None), 4))]),
     }
 
     @pytest.mark.parametrize("kind", LAYERS)
     def test_uniform_draws_with_a_generator_zeros_without(self, kind):
         make, drawn = self.LAYERS[kind]
         layer, rng = make(np.random.default_rng(22)), np.random.default_rng(22)
+        want = {name: np.zeros(param.shape) for name, param in layer.params.items()}
+        for name, index, fan_in in drawn:
+            bound = 1.0 / np.sqrt(fan_in)
+            want[name][index] = rng.uniform(-bound, bound, size=want[name][index].shape)
         for name, param in layer.params.items():
-            want = np.zeros(param.shape)
-            if name in drawn:
-                bound = 1.0 / np.sqrt(drawn[name])
-                want = rng.uniform(-bound, bound, size=param.shape)
-            np.testing.assert_array_equal(param, want)
+            np.testing.assert_array_equal(param, want[name])
         for param in make(None).params.values():
             np.testing.assert_array_equal(param, np.zeros(param.shape))
 
@@ -253,6 +262,13 @@ class TestDense:
         params = DenseParams(np.array([[1.0], [1.0]]), np.array([0.5]))
         np.testing.assert_allclose(fc_forward(np.array([1.0, 2.0]), params), [3.5])
 
+    def test_batch_rows_are_single_samples(self):
+        rng = np.random.default_rng(24)
+        params = DenseParams(rng.normal(size=(3, 2)), rng.normal(size=2))
+        x = rng.normal(size=(4, 3))
+        np.testing.assert_allclose(fc_forward(x, params),
+                                   [fc_forward(row, params) for row in x], rtol=1e-12)
+
     def test_shape_mismatch(self):
         params = DenseParams(np.eye(3), np.zeros(3))
         with pytest.raises(ShapeError):
@@ -266,7 +282,7 @@ class TestDense:
 
 
 class TestAdam:
-    @pytest.mark.parametrize("lr", [0.0, -0.001])
+    @pytest.mark.parametrize("lr", [0.0, -0.001, np.nan, np.inf])
     def test_learning_rate_must_be_positive(self, lr):
         with pytest.raises(ShapeError, match="learning rate must be > 0"):
             Adam(lr=lr)

@@ -40,8 +40,9 @@ class TestLossValues:
     def test_unknown_kind_and_bad_delta(self):
         with pytest.raises(ShapeError):
             LossSpec("quantile")
-        with pytest.raises(ShapeError):
-            LossSpec("huber", 0.0)
+        for delta in (0.0, np.nan, np.inf):
+            with pytest.raises(ShapeError):
+                LossSpec("huber", delta)
 
 
 class TestLossProperties:

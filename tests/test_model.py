@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from inertiabench.errors import NumericError, ShapeError, UsageError
 from inertiabench.losses import LossSpec
 from inertiabench.model import (
+    HEAD_MODES,
     InertialRegressor,
     ModelConfig,
     TrainConfig,
@@ -60,7 +62,9 @@ class TestBuild:
             ModelConfig(**{field: 0})
 
     @pytest.mark.parametrize("options", [{"epochs": 0}, {"batch_size": 0},
-                                         {"learning_rate": 0.0}])
+                                         {"learning_rate": 0.0},
+                                         {"learning_rate": np.nan},
+                                         {"learning_rate": np.inf}])
     def test_invalid_training_config(self, options):
         with pytest.raises(ShapeError, match="invalid training config"):
             TrainConfig(**options)
@@ -110,6 +114,12 @@ class TestTraining:
             train_model(model, TrainConfig(epochs=1), np.zeros((0, 6, 20)),
                         np.zeros((0, 1)), shuffle_rng=rng(0), dropout_rng=rng(1))
 
+    def test_count_mismatch_rejected(self):
+        model = build_model(SMALL, rng(11))
+        with pytest.raises(ShapeError, match="window/label count mismatch"):
+            train_model(model, TrainConfig(epochs=1), np.zeros((3, 6, 20)),
+                        np.zeros((2, 1)), shuffle_rng=rng(0), dropout_rng=rng(1))
+
     def test_deterministic_loss_curve(self):
         data_rng = np.random.default_rng(12)
         x = data_rng.normal(size=(10, 6, 20))
@@ -154,15 +164,17 @@ class TestTraining:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = build_model(SMALL, rng(20))
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, model)
-        loaded = load_checkpoint(path)
-        assert loaded.config == model.config
-        for k, v in model.parameters().items():
-            np.testing.assert_array_equal(v, loaded.parameters()[k])
-        x = np.random.default_rng(21).normal(size=(2, 6, 20))
-        np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
+        for mode in HEAD_MODES:
+            model = build_model(replace(SMALL, head_mode=mode), rng(20))
+            path = tmp_path / f"{mode}.npz"
+            save_checkpoint(path, model)
+            loaded = load_checkpoint(path)
+            assert loaded.config == model.config
+            assert loaded.parameters().keys() == model.parameters().keys()
+            for k, v in model.parameters().items():
+                np.testing.assert_array_equal(v, loaded.parameters()[k])
+            x = np.random.default_rng(21).normal(size=(2, 6, 20))
+            np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
 
     def _rewrite(self, tmp_path, edit):
         """Save a model, let ``edit`` change its parameter arrays, save again."""
@@ -175,13 +187,15 @@ class TestCheckpoint:
         return path
 
     def test_unsupported_version_rejected(self, tmp_path):
-        def bump(arrays):
-            meta = json.loads(arrays["__meta__"].tobytes().decode())
-            meta["version"] += 1
-            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        path = self._rewrite(tmp_path, bump)
-        with pytest.raises(UsageError, match="unsupported checkpoint version 2"):
-            load_checkpoint(path)
+        # version 1 archives held six BiLSTM arrays; version 3 is not written yet
+        for version in (1, 3):
+            def set_version(arrays):
+                meta = json.loads(arrays["__meta__"].tobytes().decode())
+                meta["version"] = version
+                arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            path = self._rewrite(tmp_path, set_version)
+            with pytest.raises(UsageError, match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = self._rewrite(tmp_path, lambda a: a.pop("param/head.b"))

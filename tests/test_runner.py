@@ -616,7 +616,7 @@ class TestConfigParsing:
                         "augment": {"kind": "noise", "schedule": [[-0.1, 0.001]]}},
          r"invalid techniques\[6\]\.augment: noise stds must be finite and non-negative"),
         ("techniques", {"kind": "augment", "augment": {"kind": "bias", "sigma_acc": float("nan")}},
-         r"invalid techniques\[6\]\.augment: noise stds must be finite and non-negative"),
+         r"invalid techniques\[6\]\.augment: sigma_acc must be finite, got nan"),
         ("dataset", {"imu_csv": "imu.csv", "gt_pos_csv": "gt_pos.csv"},
          r"invalid dataset: dataset takes synthetic segments or csv paths, not both"),
         ("dataset", {"synthetic": []},
@@ -644,20 +644,32 @@ class TestConfigParsing:
             parse_suite_config(doc)
 
 
+def _holding(tp, scalar):
+    """A JSON value of a field declared ``tp`` with ``scalar`` in place of
+    each of its scalars (inside a list for a tuple)."""
+    args = get_args(tp)
+    if type(None) in args:
+        return _holding(args[0], scalar)
+    if get_origin(tp) is tuple:
+        return [_holding(args[0], scalar)] * (1 if args[-1] is ... else len(args))
+    return scalar
+
+
+def _scalar_type(tp):
+    """The type of the scalars a field declared ``tp`` holds."""
+    args = get_args(tp)
+    return _scalar_type(args[0]) if type(None) in args or get_origin(tp) is tuple else tp
+
+
 def _wrong_type(tp):
     """A JSON value that a field declared ``tp`` rejects: 5 for a string, true
     for a number, and such values inside a list for a tuple."""
-    args = get_args(tp)
-    if type(None) in args:
-        return _wrong_type(args[0])
-    if get_origin(tp) is tuple:
-        return [_wrong_type(args[0])] * (1 if args[-1] is ... else len(args))
-    return 5 if tp is str else True
+    return _holding(tp, 5 if _scalar_type(tp) is str else True)
 
 
-def _scalar_keys():
-    """(where, config key, wrong value) for every key the reader accepts that
-    holds a string, a number or a tuple of them."""
+def _scalar_fields():
+    """(where, config key, declared type) for every key the reader accepts
+    that holds a string, a number or a tuple of them."""
     def own(cls, *skip):
         return [(f.name, f.name) for f in fields(cls) if f.name not in skip]
     places = [("descriptor", DatasetDescriptor, own(DatasetDescriptor)),
@@ -677,11 +689,11 @@ def _scalar_keys():
         for key, name in keys:
             tp = types[name]
             if not (is_dataclass(tp) or any(is_dataclass(a) for a in get_args(tp))):
-                yield pytest.param(where, key, _wrong_type(tp), id=f"{where}.{key}")
+                yield where, key, tp
 
 
-@pytest.mark.parametrize("where, key, value", _scalar_keys())
-def test_value_of_the_wrong_type_names_its_key(where, key, value):
+def _doc_with(where, key, value) -> dict:
+    """CONFIG_DOC with ``value`` under ``key`` in the section ``where`` names."""
     doc = json.loads(json.dumps(CONFIG_DOC))
     segment = doc["dataset"]["synthetic"][0]
     tagged = where.partition(":")[2]
@@ -698,5 +710,24 @@ def test_value_of_the_wrong_type_names_its_key(where, key, value):
         doc["techniques"].append({"kind": "augment", "augment": {"kind": tagged, key: value}})
     else:
         doc["techniques"].append({"kind": "preprocess", "steps": [{"op": tagged, key: value}]})
+    return doc
+
+
+@pytest.mark.parametrize("where, key, value", [
+    pytest.param(where, key, _wrong_type(tp), id=f"{where}.{key}")
+    for where, key, tp in _scalar_fields()])
+def test_value_of_the_wrong_type_names_its_key(where, key, value):
     with pytest.raises(ConfigError, match=rf": {re.escape(key)}(\[\d\])* must be "):
-        parse_suite_config(doc)
+        parse_suite_config(_doc_with(where, key, value))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400],
+                         ids=["nan", "inf", "401-digit-int"])
+@pytest.mark.parametrize("where, key, tp", [
+    pytest.param(where, key, tp, id=f"{where}.{key}")
+    for where, key, tp in _scalar_fields() if _scalar_type(tp) is float])
+def test_non_finite_number_names_its_key(where, key, tp, bad):
+    # json reads 1e400 as inf without calling parse_constant, and a dict
+    # passed to parse_suite_config can hold any float
+    with pytest.raises(ConfigError, match=rf": {re.escape(key)}(\[\d\])* must be finite, "):
+        parse_suite_config(_doc_with(where, key, _holding(tp, bad)))
