@@ -434,7 +434,9 @@ class Adam:
 
     Moments are keyed by parameter name, so the update is independent of
     the order in which parameters are visited.  Only the learning rate is
-    set; the betas and epsilon are Kingma & Ba's (2015) defaults.
+    set; the betas and epsilon are Kingma & Ba's (2015) defaults.  The
+    moment buffers are updated in place, with the textbook update's
+    operations in its order, so the result keeps the textbook's bits.
     """
 
     BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -459,11 +461,24 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**t)
-            v_hat = self.v[name] / (1 - b2**t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
+            m, v = self.m[name], self.v[name]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            tmp = (1 - b1) * g
+            m += tmp
+            # v = b2 * v + (1 - b2) * g * g
+            v *= b2
+            np.multiply(1 - b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(v, 1 - b2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.EPSILON
+            step = m / (1 - b1**t)
+            step *= self.lr
+            step /= tmp
+            params[name] -= step
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Baseline and multi-head inertial regression networks.
 
-Each model is conv -> ReLU -> maxpool per head, channel-wise concatenation,
+Each model is conv -> maxpool -> ReLU per head, channel-wise concatenation,
 then a shared Bi-LSTM, dropout, a hidden FC layer and a linear regression
-output.  Multi-head variants split the six input channels internally, so all
-head modes accept the same (batch, 6, window) tensors.
+output.  ReLU runs on the pooled data: max pooling commutes with the
+monotone ReLU and picks the same first argmax wherever the gradient is not
+zero, so this order gives the bits of ReLU-then-pool at a fraction of the
+elementwise work.  Multi-head variants split the six input channels
+internally, so all head modes accept the same (batch, 6, window) tensors.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class InertialRegressor:
             spec = ConvSpec(len(group), config.conv_filters, config.kernel_size,
                             config.stride)
             self.branches.append(
-                (list(group), Conv1d(spec, rng), ReLU(), MaxPool1d(config.pool_depth))
+                (list(group), Conv1d(spec, rng), MaxPool1d(config.pool_depth), ReLU())
             )
         self.lstm = BiLSTM(config.conv_filters * len(self.branches), config.lstm_hidden, rng)
         self.drop = Dropout(DropoutSpec(config.dropout))
@@ -95,8 +98,8 @@ class InertialRegressor:
         if x.ndim != 3 or x.shape[1] != 6:
             raise ShapeError(f"expected (B, 6, W) windows, got {x.shape}")
         parts = []
-        for cols, conv, act, pool in self.branches:
-            parts.append(pool.forward(act.forward(conv.forward(x[:, cols, :]))))
+        for cols, conv, pool, act in self.branches:
+            parts.append(act.forward(pool.forward(conv.forward(x[:, cols, :]))))
         trunk = np.concatenate(parts, axis=1)
         hs = self.lstm.forward(trunk)
         hidden = self.config.lstm_hidden
@@ -117,14 +120,25 @@ class InertialRegressor:
         ghs[:, hidden:, 0] = g[:, hidden:]
         gtrunk = self.lstm.backward(ghs)
         offset = 0
-        for cols, conv, act, pool in self.branches:
+        for _, conv, pool, act in self.branches:
             gpart = gtrunk[:, offset : offset + self.config.conv_filters, :]
-            conv.backward(act.backward(pool.backward(gpart)))
+            conv.backward(pool.backward(act.backward(gpart)))
             offset += self.config.conv_filters
 
     def predict(self, windows) -> np.ndarray:
-        """Deterministic eval-mode prediction, (batch, output_dim)."""
-        return self.forward(windows, train=False)
+        """Deterministic eval-mode prediction, (batch, output_dim).
+
+        Every layer's backward cache is dropped before returning, so no
+        batch-sized array outlives the call and ``backward`` raises UsageError.
+        """
+        out = self.forward(windows, train=False)
+        for _, *layers in self.branches:
+            for layer in layers:
+                layer._cache = None
+        for layer in (self.lstm, self.fc, self.fc_act, self.head):
+            layer._cache = None
+        self.drop._mask = None
+        return out
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator) -> InertialRegressor:

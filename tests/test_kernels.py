@@ -13,6 +13,7 @@ from inertiabench.kernels import (
     DropoutSpec,
     LstmParams,
     MaxPool1d,
+    ReLU,
     bilstm_forward,
     conv1d_forward,
     dropout_apply,
@@ -123,6 +124,32 @@ class TestMaxPool:
             )
             np.testing.assert_array_equal(out, expected)
             assert np.all(out >= x[:, : (steps // d) * d].reshape(2, -1, d).max(axis=2) - 1e-15)
+
+
+class TestPoolThenRelu:
+    """MaxPool1d -> ReLU, the model's branch order, gives ReLU -> MaxPool1d's bits."""
+
+    @staticmethod
+    def _run(first, second, x, gout):
+        out = second.forward(first.forward(x))
+        return out, first.backward(second.backward(gout))
+
+    @pytest.mark.parametrize("depth", [2, 3, 5])
+    def test_forward_and_input_gradient_equal(self, depth):
+        rng = np.random.default_rng(30)
+        # small integers and a trailing partial window of depth - 1 steps
+        x = rng.integers(-3, 3, size=(8, 6, 7 * depth + depth - 1)).astype(float)
+        windows = x[..., : 7 * depth].reshape(8, 6, 7, depth)
+        top = windows.max(axis=3)
+        assert np.any((windows == top[..., None]).sum(axis=3) > 1)  # ties inside a window
+        assert np.any(top < 0)  # all-negative windows
+        assert np.any(top == 0.0)  # windows whose maximum is exactly 0.0
+        assert np.any(top > 0)
+        gout = rng.normal(size=top.shape)
+        relu_first = self._run(ReLU(), MaxPool1d(depth), x, gout)
+        pool_first = self._run(MaxPool1d(depth), ReLU(), x, gout)
+        for a, b in zip(relu_first, pool_first):
+            assert np.array_equal(a, b)
 
 
 class TestBiLstm:

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from inertiabench.errors import NumericError, ShapeError, UsageError
-from inertiabench.losses import LossSpec
+from inertiabench.kernels import Adam
+from inertiabench.losses import LossSpec, compute_loss
 from inertiabench.model import (
     HEAD_MODES,
     InertialRegressor,
@@ -50,6 +52,15 @@ class TestBuild:
         b = build_model(SMALL, rng(42))
         for k, v in a.parameters().items():
             np.testing.assert_array_equal(v, b.parameters()[k])
+
+    @pytest.mark.parametrize("mode", HEAD_MODES)
+    def test_relu_runs_on_pooled_data(self, mode):
+        # conv -> maxpool -> ReLU: each branch's ReLU mask has the pooled shape
+        model = build_model(replace(SMALL, head_mode=mode), rng())
+        model.forward(rng(1).normal(size=(3, 6, 20)))
+        for _, _, pool, act in model.branches:
+            assert pool._cache[0] == (3, 8, 18)  # the conv output
+            assert act._cache.shape == (3, 8, 9)
 
     def test_invalid_head_mode(self):
         with pytest.raises(ShapeError):
@@ -106,6 +117,34 @@ class TestPredict:
         with pytest.raises(ShapeError):
             model.predict(np.zeros((1, 5, 20)))
 
+    def test_backward_after_predict_raises(self):
+        model = build_model(SMALL, rng(23))
+        x = rng(24).normal(size=(4, 6, 20))
+        model.forward(x, train=True, rng=rng(25))
+        out = model.predict(x)
+        with pytest.raises(UsageError, match="backward called before forward"):
+            model.backward(np.ones_like(out))
+        np.testing.assert_array_equal(out, model.forward(x))
+
+    def test_predict_holds_no_memory_that_grows_with_the_batch(self):
+        model = build_model(SMALL, rng(26))
+
+        def held_after_predict(n):
+            x = rng(27).normal(size=(n, 6, 20))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = model.predict(x)
+                held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+            finally:
+                tracemalloc.stop()
+            return held
+
+        held_after_predict(4)  # first-call allocations
+        small, large = held_after_predict(4), held_after_predict(400)
+        # at 400 windows the backward caches would hold more than 3 MB
+        assert large - small < 1024
+
 
 class TestTraining:
     def test_empty_dataset_rejected(self):
@@ -153,13 +192,41 @@ class TestTraining:
         model = build_model(SMALL, rng(18))
         x = np.random.default_rng(19).normal(size=(3, 6, 20))
         pred = model.forward(x, train=False)
-        from inertiabench.losses import compute_loss
-
         _, g = compute_loss(LossSpec("mse"), np.ones_like(pred), pred)
         model.backward(g)
         grads = model.gradients()
         nonzero = [k for k, v in grads.items() if np.any(v != 0)]
         assert len(nonzero) >= len(grads) - 2  # biases of dead ReLUs may be zero
+
+    def test_in_place_adam_matches_the_textbook_update(self):
+        def textbook_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat = m[name] / (1 - b1**t)
+                v_hat = v[name] / (1 - b2**t)
+                params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        model = build_model(SMALL, rng(28))
+        data = rng(29)
+        x, y = data.normal(size=(5, 6, 20)), data.normal(size=(5, 1))
+        expected = {k: p.copy() for k, p in model.parameters().items()}
+        m = {k: np.zeros_like(p) for k, p in expected.items()}
+        v = {k: np.zeros_like(p) for k, p in expected.items()}
+        opt = Adam(lr=0.01)
+        moments = None
+        for t in range(1, 4):
+            _, g = compute_loss(LossSpec("mse"), y, model.forward(x))
+            model.backward(g)
+            textbook_step(expected, model.gradients(), m, v, t, lr=0.01)
+            opt.step(model.parameters(), model.gradients())
+            for name, param in model.parameters().items():
+                np.testing.assert_array_equal(param, expected[name])
+                np.testing.assert_array_equal(opt.m[name], m[name])
+                np.testing.assert_array_equal(opt.v[name], v[name])
+            if moments is None:
+                moments = {k: (opt.m[k], opt.v[k]) for k in opt.m}
+            assert all(opt.m[k] is mk and opt.v[k] is vk for k, (mk, vk) in moments.items())
 
 
 class TestCheckpoint:
