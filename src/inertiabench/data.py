@@ -183,18 +183,24 @@ def write_gt_heading_csv(path, gt: GroundTruth):
 # alignment and windowing
 
 
-def align_gt(series: InertialSeries, gt: GroundTruth) -> GroundTruth:
-    """Interpolate ground truth at every IMU timestamp.
-
-    Positions interpolate linearly per axis; heading interpolates along the
-    shortest arc on the circle.
-    """
+def check_coverage(series: InertialSeries, gt: GroundTruth) -> None:
+    """Raise CoverageError unless ``gt`` spans every IMU timestamp."""
     t = series.t
     if t[0] < gt.t[0] or t[-1] > gt.t[-1]:
         raise CoverageError(
             f"IMU time range [{t[0]}, {t[-1]}] outside ground truth "
             f"[{gt.t[0]}, {gt.t[-1]}]"
         )
+
+
+def align_gt(series: InertialSeries, gt: GroundTruth) -> GroundTruth:
+    """Interpolate ground truth at every IMU timestamp.
+
+    Positions interpolate linearly per axis; heading interpolates along the
+    shortest arc on the circle.
+    """
+    check_coverage(series, gt)
+    t = series.t
     position = heading = None
     if gt.position is not None:
         position = np.column_stack([np.interp(t, gt.t, gt.position[:, i]) for i in range(3)])

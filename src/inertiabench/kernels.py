@@ -293,22 +293,17 @@ class BiLSTM(Layer):
                           w[:, :, : 1 + c].transpose(0, 2, 1)).reshape(2, t, b, 4 * h)
         wh_t = w[:, :, 1 + c :].transpose(0, 2, 1)
         cs = np.empty((2, t, b, h))
-        tmp = np.empty((2, b, 4 * h))
         for k in range(t):
             z = gates[:, k]
             if k:
-                z += np.matmul(hs[:, k - 1], wh_t, out=tmp)
-            i, f, g, o = (z[..., j * h : (j + 1) * h] for j in range(4))
+                z += hs[:, k - 1] @ wh_t
             np.tanh(z, out=z)
-            for s in (z[..., : 2 * h], o):
-                s += 1.0
-                s *= 0.5
-            c_k, h_k = cs[:, k], hs[:, k]
-            np.multiply(i, g, out=c_k)
-            if k:
-                c_k += np.multiply(f, cs[:, k - 1], out=tmp[..., :h])
-            np.tanh(c_k, out=h_k)
-            h_k *= o
+            i, f, g, o = (z[..., j * h : (j + 1) * h] for j in range(4))
+            i[...] = (i + 1.0) * 0.5
+            f[...] = (f + 1.0) * 0.5
+            o[...] = (o + 1.0) * 0.5
+            cs[:, k] = i * g + f * cs[:, k - 1] if k else i * g
+            hs[:, k] = np.tanh(cs[:, k]) * o
         self._cache = (xh, gates, cs)
         # (T, B, H) -> (B, H, T), stacked fwd over bwd in natural time order
         out = np.empty((b, 2 * h, t))
@@ -325,47 +320,27 @@ class BiLSTM(Layer):
         h, c = self.hidden_size, self.input_size
         w = self.params["w"]
         wh = w[:, :, 1 + c :]
-        dh, dc, tc, u, v = (np.empty((2, b, h)) for _ in range(5))
-        dc[...] = 0.0
+        dc = 0.0  # d loss / d c_k, carried from step k + 1
         for k in range(t - 1, -1, -1):
             z = gates[:, k]
             i, f, g, o = (z[..., j * h : (j + 1) * h] for j in range(4))
             # both directions' hidden-state gradients at their k-th step
-            if k < t - 1:
-                np.matmul(gates[:, k + 1], wh, out=dh)
-            else:
-                dh[...] = 0.0
+            dh = gates[:, k + 1] @ wh if k < t - 1 else np.zeros((2, b, h))
             dh[0] += gout[:, :h, k]
             dh[1] += gout[:, h:, t - 1 - k]
-            np.tanh(cs[:, k], out=tc)
-            # cell state: dc += dh * o * (1 - tanh(c)^2)
-            np.multiply(dh, o, out=u)
-            np.multiply(tc, tc, out=v)
-            np.subtract(1.0, v, out=v)
-            v *= u
-            dc += v
-            # output gate: dh * o * (1 - o) * tanh(c)
-            np.subtract(1.0, o, out=o)
-            o *= u
-            o *= tc
-            # input gate dc * i * (1 - i) * g, candidate dc * i * (1 - g^2)
-            np.multiply(dc, i, out=u)
-            np.subtract(1.0, i, out=i)
-            i *= g
-            i *= u
-            g *= g
-            np.subtract(1.0, g, out=g)
-            g *= u
-            # forget gate dc * f * (1 - f) * c_prev (c_prev is 0 at the first
-            # step); dc * f carries the cell gradient to the previous step
-            np.multiply(dc, f, out=v)
-            if k:
-                np.subtract(1.0, f, out=f)
-                f *= v
-                f *= cs[:, k - 1]
-            else:
-                f[...] = 0.0
-            dc, v = v, dc
+            # gate gradients are d loss / d pre-activation: sigmoid' is
+            # s * (1 - s) and tanh' is 1 - tanh^2
+            tc = np.tanh(cs[:, k])
+            u = dh * o  # d loss / d tanh(c_k)
+            dc += (1.0 - tc * tc) * u
+            o[...] = (1.0 - o) * u * tc
+            u = dc * i  # d loss / d g
+            i[...] = (1.0 - i) * g * u
+            g[...] = (1.0 - g * g) * u
+            # dc * f carries the cell gradient to step k - 1 (c_(-1) is 0)
+            carry = dc * f
+            f[...] = (1.0 - f) * carry * cs[:, k - 1] if k else 0.0
+            dc = carry
         # bias and weight gradients of all steps: one batched GEMM
         dz = gates.reshape(2, t * b, 4 * h)
         gw = np.matmul(dz.transpose(0, 2, 1), xh[:, :t].reshape(2, t * b, 1 + c + h))

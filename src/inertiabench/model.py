@@ -195,11 +195,13 @@ def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels, *,
 
 
 def save_checkpoint(path, model: InertialRegressor):
-    """Write config + parameters as a versioned .npz archive."""
+    """Write config + parameters as a versioned .npz archive at exactly ``path``."""
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(model.config)}
     arrays = {f"param/{k}": v for k, v in model.parameters().items()}
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+    # np.savez(path) would append ".npz" to a path without that extension
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
 
 
 def load_checkpoint(path) -> InertialRegressor:

@@ -30,6 +30,7 @@ from .data import (
     InertialSeries,
     SyntheticSegment,
     WindowedDataset,
+    check_coverage,
     parse_gt_heading_csv,
     parse_gt_pos_csv,
     parse_imu_csv,
@@ -172,6 +173,8 @@ class TechniqueSpec:
     def __post_init__(self):
         if self.kind not in TECHNIQUE_KINDS:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
+        if self.label == "":
+            raise ConfigError("technique name must not be empty")
         for inner in (k for k, v in TECHNIQUE_KINDS.items() if v is not None):
             if (getattr(self, inner) is None) == (inner == self.kind):
                 raise ConfigError(f"technique '{self.kind}' takes exactly its own "
@@ -179,7 +182,7 @@ class TechniqueSpec:
 
     @property
     def name(self) -> str:
-        if self.label:
+        if self.label is not None:
             return self.label
         inner = TECHNIQUE_KINDS[self.kind]
         if inner is None:
@@ -300,6 +303,9 @@ def load_recordings(ds: DatasetSpec) -> list[tuple[InertialSeries, GroundTruth]]
         gt = parse_gt_heading_csv(ds.gt_heading_csv)
     else:
         gt = parse_gt_pos_csv(ds.gt_pos_csv)
+    # preprocessing only trims a recording and the split takes parts of it,
+    # so ground truth that covers it here covers every run's windows
+    check_coverage(series, gt)
     return [(series, gt)]
 
 
@@ -457,9 +463,9 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     The dataset's recordings are loaded once, before any run, and shared
     read-only by every run; if they cannot be loaded, the ``parse``
     StageError propagates and no run starts.  Failed runs are excluded from
-    aggregation with a warning; a technique with no surviving run is marked
-    failed.  Worker count comes from ``worker_count``; reports are identical
-    for any worker count.
+    aggregation, each with a warning that names its technique and seed; a
+    technique with no surviving run is marked failed.  Worker count comes
+    from ``worker_count``; reports are identical for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
     runs = [(suite.experiment(tech), seed) for tech in suite.techniques for seed in seeds]
@@ -475,9 +481,9 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     for i, tech in enumerate(suite.techniques):
         chunk = results[i * len(seeds):(i + 1) * len(seeds)]
         ok = [float(r) for r in chunk if not isinstance(r, StageError)]
-        for r in chunk:
+        for seed, r in zip(seeds, chunk):
             if isinstance(r, StageError):
-                warnings.warn(f"run of '{tech.name}' failed: {r}")
+                warnings.warn(f"run of '{tech.name}' (seed {seed}) failed: {r}")
         reports.append(BenchReport(
             name=tech.name, spec=tech.to_dict(), rmse_runs=ok,
             failed_runs=len(chunk) - len(ok), mean=float(np.mean(ok)) if ok else None,
@@ -676,8 +682,9 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
     inner = TECHNIQUE_KINDS[kind]
     if inner is None:
         _check(entry, (), (), context)
-        return TechniqueSpec(kind, label=label)
-    return TechniqueSpec(kind, label=label, **{kind: inner[0](entry, context)})
+        return _make(TechniqueSpec, context, kind=kind, label=label)
+    return _make(TechniqueSpec, context, kind=kind, label=label,
+                 **{kind: inner[0](entry, context)})
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:

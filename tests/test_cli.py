@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from inertiabench.cli import main
+from inertiabench.data import GroundTruth, synthesize_dataset, write_gt_pos_csv, write_imu_csv
 from inertiabench.losses import LossSpec
 from inertiabench.model import build_model, load_checkpoint, save_checkpoint, train_model
 from inertiabench.runner import (
@@ -173,6 +174,15 @@ class TestTrainEval:
         assert code == 0
         assert "test RMSE" in capsys.readouterr().out
 
+    def test_out_is_the_file_written(self, tmp_path, config_path, capsys):
+        # a path without ".npz" is written as given, so eval finds it there
+        ckpt = tmp_path / "model"
+        assert main(["train", "--config", str(config_path), "--out", str(ckpt)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model", "suite.json"]
+        assert f"checkpoint saved to {ckpt}\n" in capsys.readouterr().out
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt)]) == 0
+        assert "test RMSE" in capsys.readouterr().out
+
     def test_eval_of_a_non_finite_rmse_is_an_error(self, tmp_path, config_path, capsys):
         # finite parameters whose predictions square beyond the float range
         model = build_model(load_suite_config(config_path).model, model_init_rng(0))
@@ -262,6 +272,7 @@ class TestOneLineErrors:
                                       "checkpoint-non-finite",
                                       "checkpoint-version-1",
                                       "unloadable-recordings",
+                                      "gt-ends-before-imu",
                                       "unknown-trajectory-kind",
                                       "non-string-technique-name",
                                       "window-too-short",
@@ -344,8 +355,8 @@ class TestOneLineErrors:
             path = tmp_path / "suite.json"
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
-        elif case in ("unloadable-recordings", "unknown-trajectory-kind",
-                      "non-string-technique-name", "window-too-short",
+        elif case in ("unloadable-recordings", "gt-ends-before-imu",
+                      "unknown-trajectory-kind", "non-string-technique-name", "window-too-short",
                       "bench-fractional-repetitions", "unhashable-technique-kind",
                       "imu-csv-zero"):
             # a suite that cannot run ends once, before any report is written
@@ -354,6 +365,16 @@ class TestOneLineErrors:
                 doc["dataset"] = {"descriptor": doc["dataset"]["descriptor"],
                                   "imu_csv": str(tmp_path / "missing.csv"),
                                   "gt_pos_csv": str(tmp_path / "gt_pos.csv")}
+            elif case == "gt-ends-before-imu":
+                # ground truth that lost its last 10 rows (named .txt: the
+                # check below finds any .csv file written)
+                series, gt = synthesize_dataset(**doc["dataset"]["synthetic"][0])
+                write_imu_csv(tmp_path / "imu.txt", series)
+                write_gt_pos_csv(tmp_path / "gt_pos.txt",
+                                 GroundTruth(gt.t[:-10], gt.position[:-10]))
+                doc["dataset"] = {"descriptor": doc["dataset"]["descriptor"],
+                                  "imu_csv": str(tmp_path / "imu.txt"),
+                                  "gt_pos_csv": str(tmp_path / "gt_pos.txt")}
             elif case == "unknown-trajectory-kind":
                 doc["dataset"]["synthetic"][0]["kind"] = "square"
             elif case == "non-string-technique-name":
@@ -420,6 +441,9 @@ class TestOneLineErrors:
         assert not (tmp_path / "out" / "report.json").exists()
         if case == "unloadable-recordings":
             assert err.startswith("error: [parse] ")
+        if case == "gt-ends-before-imu":
+            assert err.startswith("error: [parse] IMU time range [0.0, 5.975] outside "
+                                  "ground truth [0.0, 5.725]")
         if case == "config-repeated-key":
             assert err.startswith(f"error: cannot read config {path}: ")
         elif case.startswith("config-"):

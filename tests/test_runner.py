@@ -278,6 +278,21 @@ class TestRunSuite:
             with pytest.raises(StageError, match=r"\[parse\]"):
                 run_suite(from_csv("missing.csv"))
 
+    def test_each_failed_run_warns_with_its_seed(self, suite, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        failing = replace(suite, repetitions=3, techniques=(
+            TechniqueSpec("baseline"),
+            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(100000),)))))
+        with warnings.catch_warnings(record=True) as caught:
+            # Python's default filter shows a repeated message once per call site
+            warnings.simplefilter("default")
+            run_suite(failing)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3
+        for seed, message in zip((11, 12, 13), messages):
+            assert message.startswith(f"run of 'preprocess-denoise100000' (seed {seed}) "
+                                      "failed: [preprocess] ")
+
     def test_descriptor_rate_must_match_the_data(self, suite, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")
         desc = suite.dataset.descriptor  # 40 Hz, like the tiny segments
@@ -478,6 +493,7 @@ class TestConfigParsing:
         ({"kind": "augment", "augment": AugmentationSpec("noise"),
           "preprocess": PreprocSpec((DetrendStep(),))},
          "technique 'augment' takes exactly its own inner spec, got preprocess="),
+        ({"kind": "baseline", "label": ""}, "technique name must not be empty"),
     ])
     def test_technique_spec_takes_its_own_inner_spec_only(self, kwargs, match):
         with pytest.raises(ConfigError, match=re.escape(match)):
@@ -625,6 +641,8 @@ class TestConfigParsing:
          r"invalid suite: repeated technique name\(s\) \['baseline'\]"),
         ("techniques", {"kind": "augment", "augment": {"kind": "bias", "copies": 3}},
          r"invalid suite: repeated technique name\(s\) \['augment-bias-x3'\]"),
+        ("techniques", {"kind": "head2", "name": ""},
+         r"invalid techniques\[6\]: technique name must not be empty"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
