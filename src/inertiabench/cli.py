@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -17,18 +16,19 @@ from .data import (
     write_gt_pos_csv,
     write_imu_csv,
 )
-from .errors import InertiaBenchError, ParseError, UsageError
-from .model import load_checkpoint, save_checkpoint
+from .errors import InertiaBenchError, UsageError
 from .runner import (
-    BenchReport,
     ExperimentConfig,
     check_formats,
     emit_outputs,
     evaluate_model,
     fit_model,
+    load_checkpoint,
+    load_report,
     load_suite_config,
     prepare_run,
     run_suite,
+    save_checkpoint,
 )
 
 
@@ -98,12 +98,7 @@ def _cmd_report(args):
     formats = tuple(args.formats.split(","))
     if "json" in formats:
         raise UsageError("report re-renders csv and svg only")
-    try:
-        with open(args.report) as fh:
-            reports = [BenchReport(**t) for t in json.load(fh)["techniques"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"invalid report {args.report}: {exc!r}") from exc
-    for path in emit_outputs(reports, None, args.out_dir, formats).values():
+    for path in emit_outputs(load_report(args.report), None, args.out_dir, formats).values():
         print(f"wrote {path}")
     return 0
 

@@ -318,7 +318,6 @@ def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTrut
     if kind == "line":
         c, s = np.cos(p.heading), np.sin(p.heading)
         pos = np.column_stack([p.speed * t * c, p.speed * t * s])
-        vel = np.column_stack([np.full(n, p.speed * c), np.full(n, p.speed * s)])
         acc = np.zeros((n, 2))
         psi = np.full(n, p.heading)
         psi_dot = np.zeros(n)

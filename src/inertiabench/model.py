@@ -11,13 +11,11 @@ internally, so all head modes accept the same (batch, 6, window) tensors.
 
 from __future__ import annotations
 
-import json
-import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParseError, ShapeError, UsageError
+from .errors import NumericError, ShapeError, UsageError
 from .kernels import Adam, BiLSTM, Conv1d, ConvSpec, Dense, Dropout, DropoutSpec, MaxPool1d, ReLU
 from .losses import LossSpec, compute_loss
 
@@ -28,8 +26,6 @@ _GROUPS = {
     "head3": ([0, 3], [1, 4], [2, 5]),
 }
 HEAD_MODES = tuple(_GROUPS)
-
-CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -188,63 +184,3 @@ def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels, *,
             total += value * len(idx)
         curve.append(total / n)
     return curve
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_checkpoint(path, model: InertialRegressor):
-    """Write config + parameters as a versioned .npz archive at exactly ``path``."""
-    meta = {"version": CHECKPOINT_VERSION, "config": asdict(model.config)}
-    arrays = {f"param/{k}": v for k, v in model.parameters().items()}
-    # np.savez(path) would append ".npz" to a path without that extension
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-
-
-def load_checkpoint(path) -> InertialRegressor:
-    """Rebuild a saved model; the archive must hold exactly its parameters.
-
-    A missing, unexpected, differently shaped or non-finite parameter raises
-    UsageError rather than leaving an initial value in place or broadcasting.
-    A file or ``__meta__`` entry that cannot be read raises ParseError, and a
-    model config that ModelConfig rejects raises UsageError.
-    """
-    # np.load(path) would leave the file open when it cannot read the archive
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
-        if isinstance(archive, np.ndarray):
-            raise ParseError(f"cannot read checkpoint {path}: an .npy array, not an .npz archive")
-        try:
-            meta = json.loads(archive["__meta__"].tobytes().decode())
-            version, config = meta.get("version"), meta["config"]
-        except (KeyError, ValueError, AttributeError) as exc:
-            raise ParseError(f"cannot read __meta__ of checkpoint {path}: {exc!r}") from exc
-        if version != CHECKPOINT_VERSION:
-            raise UsageError(f"unsupported checkpoint version {version}")
-        try:
-            config = ModelConfig(**config)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid model config in checkpoint {path}: {exc}") from exc
-        model = InertialRegressor(config, None)  # zeros, every one overwritten below
-        params = model.parameters()
-        stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}
-        if stored != set(params):
-            missing = sorted(set(params) - stored)
-            unexpected = sorted(stored - set(params))
-            raise UsageError(f"checkpoint parameters do not match the model: "
-                             f"missing {missing}, unexpected {unexpected}")
-        for name, param in params.items():
-            value = archive[f"param/{name}"]
-            if value.shape != param.shape:
-                raise UsageError(f"checkpoint parameter '{name}' has shape {value.shape}, "
-                                 f"expected {param.shape}")
-            if not np.all(np.isfinite(value)):
-                raise UsageError(f"checkpoint parameter '{name}' contains non-finite values")
-            param[...] = value
-    return model

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import warnings
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -37,10 +38,12 @@ from .data import (
     synthesize_dataset,
     window_dataset,
 )
-from .errors import ConfigError, DataError, NumericError, ShapeError, StageError, UsageError
+from .errors import (ConfigError, DataError, NumericError, ParseError, ShapeError, StageError,
+                     UsageError)
 from .kernels import ConvSpec
 from .losses import LossSpec, improvement_pct, metric_rmse
-from .model import HEAD_MODES, ModelConfig, TrainConfig, build_model, train_model
+from .model import (HEAD_MODES, InertialRegressor, ModelConfig, TrainConfig, build_model,
+                    train_model)
 from .preprocessing import (
     STEP_TYPES,
     AddNoiseStep,
@@ -56,6 +59,7 @@ from .preprocessing import (
 )
 
 WORKERS_ENV = "INERTIA_BENCH_WORKERS"
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +88,11 @@ class DatasetSpec:
             return
         if self.imu_csv is None:
             raise ConfigError("dataset needs synthetic segments or csv paths")
-        gt = "gt_heading_csv" if self.descriptor.target_kind == "heading" else "gt_pos_csv"
-        if getattr(self, gt) is None:
-            raise ConfigError(f"{self.descriptor.target_kind} targets need {gt}")
+        kind = self.descriptor.target_kind
+        gt = "gt_heading_csv" if kind == "heading" else "gt_pos_csv"
+        for key in ("gt_pos_csv", "gt_heading_csv"):  # the one its targets read
+            if (getattr(self, key) is None) == (key == gt):
+                raise ConfigError(f"{kind} targets {'need' if key == gt else 'never read'} {key}")
 
 
 # How each spec sits in a config entry.  ``name``, ``to_dict`` and
@@ -587,7 +593,7 @@ def emit_outputs(reports: list[BenchReport], suite: SuiteConfig, out_dir,
 
 
 # ---------------------------------------------------------------------------
-# config files
+# JSON files: configs and reports
 
 
 def _repeated(items: list) -> list:
@@ -615,29 +621,31 @@ def _check(section: dict, allowed, required, context: str):
         raise ConfigError(f"missing key(s) {missing} in {context}")
 
 
-_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+_WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
+          dict: "an object"}
 
 
 def _value(tp, value, context: str, key: str):
-    """``value`` of config ``key`` read, unconverted, as its declared type ``tp``.
+    """``value`` of JSON ``key`` read, unconverted, as its declared type ``tp``.
 
-    A dataclass comes from an object and a tuple from a list of its length;
-    ``X | None`` also takes null, a float any finite number (integers too),
-    and any other type only itself (so an int rejects 1.0 and true, a float true).
+    A dataclass comes from an object, a tuple from a list of its length and a
+    ``list[X]`` like a ``tuple[X, ...]``; ``X | None`` also takes null, a float
+    any finite number (integers too), and any other type only itself (so an
+    int rejects 1.0 and true, a float true).
     """
     if is_dataclass(tp):
         return _build(tp, value, f"{context}.{key}")
-    args = get_args(tp)
+    args, origin = get_args(tp), get_origin(tp)
     if type(None) in args:  # X | None
         return None if value is None else _value(args[0], value, context, key)
-    if get_origin(tp) is tuple:
+    if origin in (tuple, list):
         items = _value(list, value, context, key)
-        types = args[:1] * len(items) if args[-1] is ... else args
+        types = args[:1] * len(items) if origin is list or args[-1] is ... else args
         if len(items) != len(types):
             raise ConfigError(f"invalid {context}: {key} must be a list of "
                               f"{len(types)} items, got {value!r}")
-        return tuple(_value(t, v, context, f"{key}[{i}]")
-                     for i, (t, v) in enumerate(zip(types, items)))
+        return origin(_value(t, v, context, f"{key}[{i}]")
+                      for i, (t, v) in enumerate(zip(types, items)))
     if not (type(value) is tp or tp is float and type(value) is int):
         raise ConfigError(f"invalid {context}: {key} must be {_WORDS[tp]}, got {value!r}")
     if tp is float and not abs(value) <= sys.float_info.max:  # false for NaN too
@@ -712,11 +720,78 @@ def _json_object(pairs: list) -> dict:
     return dict(pairs)
 
 
-def load_suite_config(path) -> SuiteConfig:
-    """The suite of a JSON file with no repeated key."""
+def read_json(path, what: str):
+    """The document of a JSON file with no repeated key; ``what`` names it in errors."""
     try:
         with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_json_object)
+            return json.load(fh, object_pairs_hook=_json_object)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_suite_config(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_suite_config(path) -> SuiteConfig:
+    return parse_suite_config(read_json(path, "config"))
+
+
+def load_report(path) -> list[BenchReport]:
+    """The technique entries of a report.json file."""
+    doc = _section(read_json(path, "report"), "report")
+    return _value(list[BenchReport], doc.get("techniques"), "report", "techniques")
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+
+def save_checkpoint(path, model: InertialRegressor):
+    """Write config + parameters as a versioned .npz archive at exactly ``path``."""
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(model.config)}
+    arrays = {f"param/{k}": v for k, v in model.parameters().items()}
+    # np.savez(path) would append ".npz" to a path without that extension
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
+
+
+def load_checkpoint(path) -> InertialRegressor:
+    """Rebuild a saved model; the archive must hold exactly its parameters.
+
+    A missing, unexpected, differently shaped or non-finite parameter raises
+    UsageError rather than leaving an initial value in place or broadcasting.
+    A file or ``__meta__`` entry that cannot be read raises ParseError, and a
+    model config that the config reader rejects raises ConfigError.
+    """
+    # np.load(path) would leave the file open when it cannot read the archive
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+        if isinstance(archive, np.ndarray):
+            raise ParseError(f"cannot read checkpoint {path}: an .npy array, not an .npz archive")
+        try:
+            meta = json.loads(archive["__meta__"].tobytes().decode(),
+                              object_pairs_hook=_json_object)
+            version, config = meta.get("version"), meta["config"]
+        except (KeyError, ValueError, AttributeError) as exc:
+            raise ParseError(f"cannot read __meta__ of checkpoint {path}: {exc!r}") from exc
+        if version != CHECKPOINT_VERSION:
+            raise UsageError(f"unsupported checkpoint version {version}")
+        config = _build(ModelConfig, config, f"model config of checkpoint {path}")
+        model = InertialRegressor(config, None)  # zeros, every one overwritten below
+        params = model.parameters()
+        stored = {key[len("param/"):] for key in archive.files if key.startswith("param/")}
+        if stored != set(params):
+            missing = sorted(set(params) - stored)
+            unexpected = sorted(stored - set(params))
+            raise UsageError(f"checkpoint parameters do not match the model: "
+                             f"missing {missing}, unexpected {unexpected}")
+        for name, param in params.items():
+            value = archive[f"param/{name}"]
+            if value.shape != param.shape:
+                raise UsageError(f"checkpoint parameter '{name}' has shape {value.shape}, "
+                                 f"expected {param.shape}")
+            if not np.all(np.isfinite(value)):
+                raise UsageError(f"checkpoint parameter '{name}' contains non-finite values")
+            param[...] = value
+    return model

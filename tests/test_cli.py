@@ -1,20 +1,26 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import inertiabench
 from inertiabench.cli import main
 from inertiabench.data import GroundTruth, synthesize_dataset, write_gt_pos_csv, write_imu_csv
 from inertiabench.losses import LossSpec
-from inertiabench.model import build_model, load_checkpoint, save_checkpoint, train_model
+from inertiabench.model import build_model, train_model
 from inertiabench.runner import (
     WORKERS_ENV,
     ExperimentConfig,
     dropout_rng,
+    load_checkpoint,
     load_suite_config,
     model_init_rng,
     prepare_run,
+    save_checkpoint,
     shuffle_rng,
 )
 
@@ -244,17 +250,24 @@ class TestTrainEval:
 
 
 class TestReport:
-    def test_rerender_from_json(self, tmp_path, config_path):
-        out = tmp_path / "results"
-        main(["bench", "--config", str(config_path), "--out-dir", str(out),
-              "--formats", "json,csv"])
-        redo = tmp_path / "rerender"
-        code = main(["report", "--report", str(out / "report.json"),
-                     "--out-dir", str(redo)])
-        assert code == 0
-        assert (redo / "report.csv").read_text() == \
-            (out / "report.csv").read_text()
-        assert (redo / "improvement.svg").exists()
+    def test_rerender_from_json(self, tmp_path):
+        # every run of the denoise technique fails: its mean, std and
+        # improvement are null and its rmse_runs empty
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["techniques"].append({"kind": "preprocess",
+                                  "steps": [{"op": "denoise", "window": 100000}]})
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(doc))
+        out, redo = tmp_path / "results", tmp_path / "rerender"
+        with pytest.warns(UserWarning, match="failed"):
+            assert main(["bench", "--config", str(path), "--out-dir", str(out)]) == 2
+        failed = json.loads((out / "report.json").read_text())["techniques"][-1]
+        assert (failed["mean"], failed["std"], failed["improvement_pct"],
+                failed["rmse_runs"]) == (None, None, None, [])
+        assert main(["report", "--report", str(out / "report.json"),
+                     "--out-dir", str(redo)]) == 0
+        for name in ("report.csv", "improvement.svg"):
+            assert (redo / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestOneLineErrors:
@@ -271,6 +284,10 @@ class TestOneLineErrors:
                                       "checkpoint-npy-array",
                                       "checkpoint-non-finite",
                                       "checkpoint-version-1",
+                                      "checkpoint-fractional-conv-filters",
+                                      "report-entry-rmse-runs-not-a-list",
+                                      "report-entry-improvement-not-a-number",
+                                      "report-entry-repeated-key",
                                       "unloadable-recordings",
                                       "gt-ends-before-imu",
                                       "unknown-trajectory-kind",
@@ -303,6 +320,21 @@ class TestOneLineErrors:
         elif case == "report-to-json":
             argv = ["report", "--report", str(tmp_path / "report.json"), "--out-dir", out,
                     "--formats", "csv,json"]
+        elif case.startswith("report-entry-"):
+            entry = {"name": "baseline", "spec": {"kind": "baseline"}, "rmse_runs": [0.5],
+                     "failed_runs": 0, "mean": 0.5, "std": 0.0, "improvement_pct": 0.0}
+            old, new = {
+                "report-entry-rmse-runs-not-a-list": ('"rmse_runs": [0.5]', '"rmse_runs": 5'),
+                "report-entry-improvement-not-a-number": ('"improvement_pct": 0.0',
+                                                          '"improvement_pct": "x"'),
+                "report-entry-repeated-key": ('"failed_runs": 0',
+                                              '"failed_runs": 0, "failed_runs": 1')}[case]
+            text = json.dumps({"suite": {"base_seed": 0, "repetitions": 1},
+                               "techniques": [entry]})
+            assert old in text
+            bad = tmp_path / "report.json"
+            bad.write_text(text.replace(old, new))
+            argv = ["report", "--report", str(bad), "--out-dir", out]
         elif case == "unknown-format":
             # the format list is checked before any training
             def no_run(suite):
@@ -317,15 +349,17 @@ class TestOneLineErrors:
             elif case == "checkpoint-unknown-config-key":
                 meta = json.dumps({"version": 2, "config": {"filters": 4}}).encode()
                 np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8))
-            elif case == "checkpoint-version-1":
-                # version 1 held the BiLSTM as six arrays
+            elif case in ("checkpoint-version-1", "checkpoint-fractional-conv-filters"):
                 save_checkpoint(ckpt, build_model(load_suite_config(config_path).model,
                                                   model_init_rng(0)))
                 with np.load(ckpt) as archive:
                     arrays = {k: archive[k] for k in archive.files}
                 meta = json.loads(arrays["__meta__"].tobytes().decode())
-                arrays["__meta__"] = np.frombuffer(
-                    json.dumps({**meta, "version": 1}).encode(), dtype=np.uint8)
+                if case == "checkpoint-version-1":  # it held the BiLSTM as six arrays
+                    meta["version"] = 1
+                else:
+                    meta["config"]["conv_filters"] = 4.0
+                arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
                 np.savez(ckpt, **arrays)
             elif case == "checkpoint-not-an-archive":
                 ckpt.write_text("not a checkpoint\n")
@@ -450,6 +484,27 @@ class TestOneLineErrors:
             assert "must be finite, got " in err
         if case == "checkpoint-version-1":
             assert err == "error: unsupported checkpoint version 1\n"
+        if case == "checkpoint-fractional-conv-filters":
+            assert err == (f"error: invalid model config of checkpoint {ckpt}: "
+                           "conv_filters must be an integer, got 4.0\n")
+        if case == "report-entry-rmse-runs-not-a-list":
+            assert err == "error: invalid report.techniques[0]: rmse_runs must be a list, got 5\n"
+        if "report" in case:
+            assert not os.path.exists(out)
         if case == "train-negative-seed":
             assert "--seed" in err and not (tmp_path / "model.npz").exists()
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_module_entry_point_exits_one(self, tmp_path):
+        # scripts read the exit status and stderr of `python -m inertiabench`
+        src = os.path.dirname(os.path.dirname(inertiabench.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "inertiabench", "report",
+                               "--report", str(tmp_path / "missing.json"),
+                               "--out-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: cannot read report ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()

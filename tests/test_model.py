@@ -14,10 +14,9 @@ from inertiabench.model import (
     ModelConfig,
     TrainConfig,
     build_model,
-    load_checkpoint,
-    save_checkpoint,
     train_model,
 )
+from inertiabench.runner import load_checkpoint, save_checkpoint
 
 SMALL = ModelConfig(conv_filters=8, kernel_size=3, pool_depth=2, lstm_hidden=6,
                     fc_width=12, output_dim=1)

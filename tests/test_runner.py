@@ -643,6 +643,15 @@ class TestConfigParsing:
          r"invalid suite: repeated technique name\(s\) \['augment-bias-x3'\]"),
         ("techniques", {"kind": "head2", "name": ""},
          r"invalid techniques\[6\]: technique name must not be empty"),
+        # a ground-truth file the target kind never reads is a typo, not a spare
+        ("dataset", {"synthetic": [], "imu_csv": "imu.csv", "gt_pos_csv": "gt_pos.csv",
+                     "gt_heading_csv": "typo.csv"},
+         "invalid dataset: distance_xy targets never read gt_heading_csv"),
+        ("dataset", {"synthetic": [], "imu_csv": "imu.csv", "gt_heading_csv": "gt_heading.csv",
+                     "gt_pos_csv": "gt_pos.csv",
+                     "descriptor": {"name": "tiny", "sampling_rate": 40.0, "window_size": 40,
+                                    "stride": 20, "target_kind": "heading"}},
+         "invalid dataset: heading targets never read gt_pos_csv"),
     ])
     def test_malformed_section_is_config_error(self, section, value, match):
         doc = json.loads(json.dumps(CONFIG_DOC))
