@@ -8,11 +8,18 @@ The canonical on-disk formats are plain CSV:
 
 Floats are written with Python's shortest round-tripping repr, so a
 write/parse cycle reproduces the in-memory values bit-exactly.
+
+The header is read with ``csv`` rules and the rows, streamed, by
+``np.loadtxt``, which gives the bits Python's ``float`` gives (but reads no
+``1_000``).  Fields may be ``"``-quoted, blank lines are skipped and lines
+end in ``\n``, ``\r\n`` or ``\r``.  A malformed row is a ParseError naming
+its file line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,27 +125,47 @@ class WindowedDataset:
 
 
 def _parse_csv(path, header: tuple[str, ...]) -> np.ndarray:
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            got = next(reader)
+            got = next(csv.reader(fh))
         except StopIteration:
             raise ParseError("empty file") from None
         if [c.strip() for c in got] != list(header):
             raise ParseError(f"expected header {','.join(header)}, got {','.join(got)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
+        # np.loadtxt warns on an empty body, so the blank lines before the
+        # first row are skipped here and the loader starts at that row
+        first = next((line for line in fh if line not in ("\n", "\r\n", "\r")), None)
+        if first is None:
+            raise ParseError("no data rows")
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise _bad_row(path, len(header), str(exc)) from None
+    if data.shape[1] != len(header):  # every row has the same wrong width
+        raise _bad_row(path, len(header), f"expected {len(header)} fields, got {data.shape[1]}")
+    return data
+
+
+def _bad_row(path, width: int, reason: str) -> ParseError:
+    """The ParseError for a body ``np.loadtxt`` rejected: it names the file
+    line of the first row that ``csv`` and ``float`` do not read as ``width``
+    numbers, or, if there is none (``1_000``), carries numpy's ``reason``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+            if len(row) != width:
+                return ParseError(f"expected {width} fields, got {len(row)}",
+                                  line=reader.line_num)
             try:
-                rows.append([float(v) for v in row])
+                for v in row:
+                    float(v)
             except ValueError:
-                raise ParseError(f"non-numeric field in {row}", line=lineno) from None
-    if not rows:
-        raise ParseError("no data rows")
-    return np.array(rows, dtype=float)
+                return ParseError(f"non-numeric field in {row}", line=reader.line_num)
+    return ParseError(reason)
 
 
 def parse_imu_csv(path) -> InertialSeries:

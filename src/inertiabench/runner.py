@@ -266,6 +266,15 @@ class BenchReport:
     std: float | None
     improvement_pct: float | None
 
+    def __post_init__(self):
+        if self.failed_runs < 0:
+            raise ConfigError(f"failed_runs must be >= 0, got {self.failed_runs}")
+        if (self.mean is None) != self.failed or (self.std is None) != self.failed:
+            raise ConfigError("mean and std must be null exactly when rmse_runs is empty")
+        # run_suite fills improvement_pct in once every mean is known
+        if self.mean is None and self.improvement_pct is not None:
+            raise ConfigError("improvement_pct must be null when mean is")
+
     @property
     def failed(self) -> bool:
         return not self.rmse_runs
@@ -626,12 +635,13 @@ _WORDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
 
 
 def _value(tp, value, context: str, key: str):
-    """``value`` of JSON ``key`` read, unconverted, as its declared type ``tp``.
+    """``value`` of JSON ``key`` read as its declared type ``tp``.
 
     A dataclass comes from an object, a tuple from a list of its length and a
     ``list[X]`` like a ``tuple[X, ...]``; ``X | None`` also takes null, a float
-    any finite number (integers too), and any other type only itself (so an
-    int rejects 1.0 and true, a float true).
+    any finite number (an integer becomes a float, so 1 and 1.0 read alike),
+    and any other type only itself (so an int rejects 1.0 and true, a float
+    true).
     """
     if is_dataclass(tp):
         return _build(tp, value, f"{context}.{key}")
@@ -650,7 +660,7 @@ def _value(tp, value, context: str, key: str):
         raise ConfigError(f"invalid {context}: {key} must be {_WORDS[tp]}, got {value!r}")
     if tp is float and not abs(value) <= sys.float_info.max:  # false for NaN too
         raise ConfigError(f"invalid {context}: {key} must be finite, got {value!r}")
-    return value
+    return float(value) if tp is float else value
 
 
 def _build(cls, section, context: str, keys=None, required=(), **fixed):

@@ -270,6 +270,18 @@ class TestReport:
             assert (redo / name).read_bytes() == (out / name).read_bytes()
 
 
+    def test_integer_floats_render_as_bench_writes_them(self, tmp_path):
+        entry = {"name": "baseline", "spec": {"kind": "baseline"}, "rmse_runs": [1],
+                 "failed_runs": 0, "mean": 1, "std": 0, "improvement_pct": 0}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"suite": {"base_seed": 0, "repetitions": 1},
+                                    "techniques": [entry]}))
+        assert main(["report", "--report", str(path), "--out-dir", str(tmp_path),
+                     "--formats", "csv"]) == 0
+        assert (tmp_path / "report.csv").read_text().splitlines()[1] == \
+            "baseline,1.0,0.0,0.0,0,1.0"
+
+
 class TestOneLineErrors:
     @pytest.mark.parametrize("case", ["missing-checkpoint", "missing-report",
                                       "invalid-report", "report-to-json",
@@ -288,6 +300,7 @@ class TestOneLineErrors:
                                       "report-entry-rmse-runs-not-a-list",
                                       "report-entry-improvement-not-a-number",
                                       "report-entry-repeated-key",
+                                      "report-entry-contradicts-itself",
                                       "unloadable-recordings",
                                       "gt-ends-before-imu",
                                       "unknown-trajectory-kind",
@@ -328,7 +341,9 @@ class TestOneLineErrors:
                 "report-entry-improvement-not-a-number": ('"improvement_pct": 0.0',
                                                           '"improvement_pct": "x"'),
                 "report-entry-repeated-key": ('"failed_runs": 0',
-                                              '"failed_runs": 0, "failed_runs": 1')}[case]
+                                              '"failed_runs": 0, "failed_runs": 1'),
+                "report-entry-contradicts-itself": ('"failed_runs": 0, "mean": 0.5',
+                                                    '"failed_runs": -3, "mean": 7.0')}[case]
             text = json.dumps({"suite": {"base_seed": 0, "repetitions": 1},
                                "techniques": [entry]})
             assert old in text
@@ -489,6 +504,9 @@ class TestOneLineErrors:
                            "conv_filters must be an integer, got 4.0\n")
         if case == "report-entry-rmse-runs-not-a-list":
             assert err == "error: invalid report.techniques[0]: rmse_runs must be a list, got 5\n"
+        if case == "report-entry-contradicts-itself":
+            assert err == ("error: invalid report.techniques[0]: "
+                           "failed_runs must be >= 0, got -3\n")
         if "report" in case:
             assert not os.path.exists(out)
         if case == "train-negative-seed":

@@ -1,3 +1,8 @@
+import csv
+import io
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ from inertiabench.data import (
     InertialSeries,
     SynthParams,
     WindowedDataset,
+    _parse_csv,
     align_gt,
     make_windows,
     parse_gt_pos_csv,
@@ -21,6 +27,10 @@ from inertiabench.data import (
     write_imu_csv,
 )
 from inertiabench.errors import CoverageError, DataError, ParseError, ShapeError
+
+# 200 rows of doubles spread over the exponent range; their reprs run to 17 digits
+RANDOM_DOUBLES = (np.random.default_rng(0).normal(size=(200, 2))
+                  * 10.0 ** np.random.default_rng(1).integers(-300, 300, (200, 2))).tolist()
 
 
 class TestCsvParsing:
@@ -82,6 +92,80 @@ class TestCsvParsing:
         series = parse_imu_csv(path)
         np.testing.assert_array_equal(series.t, [0.0, 0.1])
         np.testing.assert_array_equal(series.imu, [[1, 2, 3, 4, 5, 6]] * 2)
+
+    @pytest.mark.parametrize("body", [
+        b"t,yaw\r\n0.0,1.5\r\n0.1,-2.25\r\n",
+        b"t,yaw\r0.0,1.5\r0.1,-2.25\r",
+        b"t,yaw\n\n\n0.0,1.5\n\n0.1,-2.25\n\n\n",
+        b"t,yaw\r\n\r\n0.0,1.5\r\n\r\n0.1,-2.25\r\n\r\n",
+        b"t,yaw\r\r0.0,1.5\r\r0.1,-2.25\r\r",
+        b"t,yaw\n 2.5 ,\t+1.5\n0.1 ,3\n",
+        b't,yaw\n"0.0","1.5"\n0.1," 2.5 "\n',
+        b"t,yaw\n0.0,1.5",
+        b"t , yaw\n-0.0,5e-324\n1.7976931348623157e+308,0.30000000000000004\n"
+        b"1E5,+1.5\nInfinity,nan\n-inf,-NaN\n2.2250738585072014e-308,1.0000000000000002\n",
+        b"t,yaw\n" + "".join(f"{a!r},{b!r}\n" for a, b in RANDOM_DOUBLES).encode(),
+    ], ids=["crlf", "cr", "blank-lines", "crlf-blank-lines", "cr-blank-lines", "spaces",
+            "quoted", "no-final-newline", "edge-values", "17-digit-reprs"])
+    def test_fields_parse_as_python_float(self, tmp_path, body):
+        path = tmp_path / "gt_heading.csv"
+        path.write_bytes(body)
+        rows = [r for r in csv.reader(io.StringIO(body.decode(), newline="")) if r][1:]
+        expected = np.array([[float(v) for v in r] for r in rows])
+        got = _parse_csv(path, ("t", "yaw"))
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("t,yaw\n\n0.0,1.5\n\n0.1\n0.2,1\n", 5, "expected 2 fields, got 1"),
+        ("t,yaw\n\n0.0,1.5\n\n0.1\n", 5, "expected 2 fields, got 1"),
+        ("t,yaw\n\n\n0.0,1.5,3\n", 4, "expected 2 fields, got 3"),
+        ("t,yaw\n0.0,1.5\n\n0.1,1.5,3\n", 4, "expected 2 fields, got 3"),
+        ("t,yaw\n\n0.0\n0.1\n", 3, "expected 2 fields, got 1"),
+        ("t,yaw\n0.0,1.5\n\n   \n0.2,1\n", 4, "expected 2 fields, got 1"),
+        ("t,yaw\n\n\t\n", 3, "expected 2 fields, got 1"),
+        ("t,yaw\n\n0.0,\n", 3, "non-numeric field in ['0.0', '']"),
+        ("t,yaw\n0.0,1.5\n\n\n0.1,abc\n", 5, "non-numeric field in ['0.1', 'abc']"),
+        ("t,yaw\r\n\r\n0.0,1.5\r\n0.1,x\r\n", 4, "non-numeric field in ['0.1', 'x']"),
+        ("t,yaw\r\r0.0,1.5\r0.1\r", 4, "expected 2 fields, got 1"),
+    ], ids=["short", "short-last", "long-first", "long", "all-short", "whitespace-only",
+            "tab-only", "empty-field", "non-numeric", "crlf-non-numeric", "cr-short"])
+    def test_error_names_its_file_line(self, tmp_path, body, line, message):
+        path = tmp_path / "gt_heading.csv"
+        path.write_bytes(body.encode())
+        with pytest.raises(ParseError) as exc:
+            _parse_csv(path, ("t", "yaw"))
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+    def test_field_numpy_does_not_read_is_a_parse_error(self, tmp_path):
+        # Python's float reads 1_000; numpy's parser does not
+        path = tmp_path / "gt_heading.csv"
+        path.write_text("t,yaw\n0.0,1.5\n1_000,2\n")
+        with pytest.raises(ParseError, match="could not convert string '1_000'") as exc:
+            _parse_csv(path, ("t", "yaw"))
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("body", ["t,yaw\n\n\n", "t,yaw\r\n\r\n", "t,yaw\r\r"])
+    def test_blank_body_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "gt_heading.csv"
+        path.write_bytes(body.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="^no data rows$"):
+                _parse_csv(path, ("t", "yaw"))
+
+    def test_parse_peak_memory(self, tmp_path):
+        # the parse streams: no Python object per row or field
+        series, _ = synthesize_dataset("sinusoid", duration=60.0, rate=200.0, seed=3)
+        write_imu_csv(tmp_path / "imu.csv", series)
+        tracemalloc.start()
+        try:
+            back = parse_imu_csv(tmp_path / "imu.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 12000
+        assert peak < 3 * (back.t.nbytes + back.imu.nbytes)
 
 
 class TestGroundTruth:

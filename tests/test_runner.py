@@ -43,6 +43,7 @@ from inertiabench.runner import (
     LOSS_KEYS,
     STEP_OPS,
     WORKERS_ENV,
+    BenchReport,
     DatasetSpec,
     ExperimentConfig,
     SuiteConfig,
@@ -399,11 +400,11 @@ class TestEmitOutputs:
 
         name = 'base,"quoted" <line> & more'
         reports = [BenchReport(name, {}, [1.0, 2.0], 0, 1.5, 0.5, 0.0),
-                   BenchReport("plain", {}, [1.0], 1, None, None, None)]
+                   BenchReport("plain", {}, [], 1, None, None, None)]
         rows = list(csv.reader(io.StringIO(report_to_csv(reports))))
         assert [len(row) for row in rows] == [6, 6, 6]
         assert rows[1][0] == name and rows[1][5] == "1.0|2.0"
-        assert rows[2] == ["plain", "", "", "", "1", "1.0"]
+        assert rows[2] == ["plain", "", "", "", "1", ""]
         doc = minidom.parseString(render_improvement_svg(reports))
         labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
         assert name in labels
@@ -518,6 +519,19 @@ class TestConfigParsing:
         t = _parse_technique(entry)
         assert _parse_technique(json.loads(json.dumps(t.to_dict()))) == t
         assert t.to_dict().get("name") == entry.get("name")
+
+    def test_integer_float_field_writes_the_same_report(self):
+        # "delta": 2 and "delta": 2.0 describe the same run
+        docs = [json.loads(json.dumps(CONFIG_DOC)) for _ in range(2)]
+        docs[1]["techniques"][1]["delta"] = 2
+        texts = []
+        for doc in docs:
+            suite = parse_suite_config(doc)
+            reports = [BenchReport(t.name, t.to_dict(), [0.5], 0, 0.5, 0.0, None)
+                       for t in suite.techniques]
+            texts.append(report_to_json(reports, suite))
+        assert '"delta": 2.0' in texts[1]
+        assert texts[0] == texts[1]
 
     def test_to_dict_is_the_config_entry_form(self):
         t = _parse_technique({"kind": "loss", "loss": "huber", "delta": 2.0,
