@@ -121,10 +121,19 @@ def augment_noise(ds: WindowedDataset, spec: AugmentationSpec,
     return _append(ds, copies)
 
 
-# augmentation kind -> function(dataset, spec, rng)
-AUGMENTATIONS = {"rotation": augment_rotation, "bias": augment_bias, "noise": augment_noise}
+# augmentation kind -> (function(dataset, spec, rng), config key -> spec field,
+# name fragment)
+AUGMENTATIONS = {
+    "rotation": (augment_rotation, {"axes": "rotation_axes"},
+                 lambda a: "rotation-" + "+".join(a.rotation_axes)),
+    "bias": (augment_bias, {"copies": "bias_copies", "sigma_acc": "sigma_acc",
+                            "sigma_gyro": "sigma_gyro"},
+             lambda a: f"bias-x{a.bias_copies}"),
+    "noise": (augment_noise, {"schedule": "noise_schedule"},
+              lambda a: f"noise-x{len(a.noise_schedule)}"),
+}
 
 
 def apply_augmentation(ds: WindowedDataset, spec: AugmentationSpec,
                        rng: np.random.Generator) -> WindowedDataset:
-    return AUGMENTATIONS[spec.kind](ds, spec, rng)
+    return AUGMENTATIONS[spec.kind][0](ds, spec, rng)

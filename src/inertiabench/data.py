@@ -130,6 +130,8 @@ def _parse_csv(path, header: tuple[str, ...]) -> np.ndarray:
             got = next(csv.reader(fh))
         except StopIteration:
             raise ParseError("empty file") from None
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise ParseError(str(exc), line=1) from None
         if [c.strip() for c in got] != list(header):
             raise ParseError(f"expected header {','.join(header)}, got {','.join(got)}", line=1)
         # np.loadtxt warns on an empty body, so the blank lines before the
@@ -154,17 +156,20 @@ def _bad_row(path, width: int, reason: str) -> ParseError:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, already checked
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                return ParseError(f"expected {width} fields, got {len(row)}",
-                                  line=reader.line_num)
-            try:
-                for v in row:
-                    float(v)
-            except ValueError:
-                return ParseError(f"non-numeric field in {row}", line=reader.line_num)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    return ParseError(f"expected {width} fields, got {len(row)}",
+                                      line=reader.line_num)
+                try:
+                    for v in row:
+                        float(v)
+                except ValueError:
+                    return ParseError(f"non-numeric field in {row}", line=reader.line_num)
+        except csv.Error as exc:
+            return ParseError(str(exc), line=reader.line_num)
     return ParseError(reason)
 
 

@@ -50,44 +50,34 @@ class DropoutSpec:
             raise ShapeError(f"dropout rate must be in [0, 1): {self.rate}")
 
 
-def _lstm_shapes(input_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each ``LstmParams`` array."""
-    g = 4 * hidden_size
-    per_direction = {"wx": (g, input_size), "wh": (g, hidden_size), "b": (g,)}
-    return {f"{d}_{name}": shape for d in ("fwd", "bwd")
-            for name, shape in per_direction.items()}
+def _lstm_weight_shape(input_size: int, hidden_size: int) -> tuple[int, int, int]:
+    """Shape of a BiLSTM's packed weight: (2, 4H, 1 + C + H)."""
+    return (2, 4 * hidden_size, 1 + input_size + hidden_size)
 
 
 @dataclass
 class LstmParams:
     """Gate weights for one bidirectional LSTM layer.
 
-    Gate order inside the stacked ``4H`` axis is input, forget, cell, output.
-    ``*_wx`` is (4H, input_size), ``*_wh`` is (4H, H), ``*_b`` is (4H,).
+    ``w`` is the packed array ``BiLSTM.params["w"]`` holds: per direction
+    (fwd, bwd) the bias column, ``Wx`` (4H, C) and ``Wh`` (4H, H).  Gate
+    order inside the stacked ``4H`` axis is input, forget, cell, output.
     """
 
     input_size: int
     hidden_size: int
-    fwd_wx: np.ndarray
-    fwd_wh: np.ndarray
-    fwd_b: np.ndarray
-    bwd_wx: np.ndarray
-    bwd_wh: np.ndarray
-    bwd_b: np.ndarray
+    w: np.ndarray
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> "LstmParams":
-        return cls(input_size, hidden_size,
-                   **{name: np.zeros(shape)
-                      for name, shape in _lstm_shapes(input_size, hidden_size).items()})
+        return cls(input_size, hidden_size, np.zeros(_lstm_weight_shape(input_size, hidden_size)))
 
     def validate(self):
-        for name, shape in _lstm_shapes(self.input_size, self.hidden_size).items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name} contains non-finite values")
+        shape = _lstm_weight_shape(self.input_size, self.hidden_size)
+        if self.w.shape != shape:
+            raise ShapeError(f"w has shape {self.w.shape}, expected {shape}")
+        if not np.all(np.isfinite(self.w)):
+            raise NumericError("w contains non-finite values")
 
 
 @dataclass
@@ -215,6 +205,8 @@ class MaxPool1d(Layer):
         self.depth = depth
 
     def forward(self, x):
+        if x.ndim != 3:
+            raise ShapeError(f"expected (B, C, T) input, got {x.shape}")
         d = self.depth
         b, c, t = x.shape
         if d > t:
@@ -259,7 +251,7 @@ class BiLSTM(Layer):
         self.input_size = input_size
         self.hidden_size = hidden_size
         g, c, h = 4 * hidden_size, input_size, hidden_size
-        w = np.zeros((2, g, 1 + c + h))
+        w = np.zeros(_lstm_weight_shape(c, h))
         for wd in w:  # biases start at zero; a weight's fan-in is its column count
             wd[:, 1 : 1 + c] = _init_uniform(rng, (g, c), c)
             wd[:, 1 + c :] = _init_uniform(rng, (g, h), h)
@@ -492,11 +484,7 @@ def maxpool1d(x, depth: int):
 def bilstm_forward(x, params: LstmParams):
     params.validate()
     layer = BiLSTM(params.input_size, params.hidden_size)
-    c = params.input_size
-    for w, d in zip(layer.params["w"], ("fwd", "bwd")):
-        w[:, 0] = getattr(params, f"{d}_b")
-        w[:, 1 : 1 + c] = getattr(params, f"{d}_wx")
-        w[:, 1 + c :] = getattr(params, f"{d}_wh")
+    layer.params["w"] = params.w
     return layer.forward(np.asarray(x, dtype=float)[None])[0]
 
 

@@ -48,10 +48,6 @@ class ModelConfig:
             raise ShapeError(f"invalid model config: {self}")
         DropoutSpec(self.dropout)
 
-    @property
-    def channel_groups(self):
-        return _GROUPS[self.head_mode]
-
 
 class InertialRegressor:
     """A configured network; its parameters are zeros if ``rng`` is None."""
@@ -59,7 +55,7 @@ class InertialRegressor:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         self.branches = []
-        for group in config.channel_groups:
+        for group in _GROUPS[config.head_mode]:
             spec = ConvSpec(len(group), config.conv_filters, config.kernel_size,
                             config.stride)
             self.branches.append(
@@ -73,11 +69,11 @@ class InertialRegressor:
         self._summary_shape = None
 
     def _layers(self):
-        for i, (_, conv, _, _) in enumerate(self.branches):
-            yield f"branch{i}.conv", conv
-        yield "lstm", self.lstm
-        yield "fc", self.fc
-        yield "head", self.head
+        """Every layer with its name; layers without parameters have empty ``params``."""
+        for i, (_, *layers) in enumerate(self.branches):
+            yield from zip((f"branch{i}.conv", f"branch{i}.pool", f"branch{i}.act"), layers)
+        for name in ("lstm", "drop", "fc", "fc_act", "head"):
+            yield name, getattr(self, name)
 
     def _named(self, attr: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.{name}": arr for prefix, layer in self._layers()
@@ -128,10 +124,7 @@ class InertialRegressor:
         batch-sized array outlives the call and ``backward`` raises UsageError.
         """
         out = self.forward(windows, train=False)
-        for _, *layers in self.branches:
-            for layer in layers:
-                layer._cache = None
-        for layer in (self.lstm, self.fc, self.fc_act, self.head):
+        for _, layer in self._layers():
             layer._cache = None
         self.drop._mask = None
         return out

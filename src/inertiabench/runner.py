@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .augmentation import AugmentationSpec, apply_augmentation
+from .augmentation import AUGMENTATIONS, AugmentationSpec, apply_augmentation
 from .data import (
     DatasetDescriptor,
     GroundTruth,
@@ -106,15 +106,8 @@ def _keys(cls, *exclude) -> dict:
 LOSS_KEYS = {"loss": "kind", "delta": "delta"}  # config key -> LossSpec field
 
 # augmentation kind -> (class, config key -> field, name fragment)
-AUGMENT_KINDS = {
-    "rotation": (AugmentationSpec, {"axes": "rotation_axes"},
-                 lambda a: "rotation-" + "+".join(a.rotation_axes)),
-    "bias": (AugmentationSpec, {"copies": "bias_copies", "sigma_acc": "sigma_acc",
-                                "sigma_gyro": "sigma_gyro"},
-             lambda a: f"bias-x{a.bias_copies}"),
-    "noise": (AugmentationSpec, {"schedule": "noise_schedule"},
-              lambda a: f"noise-x{len(a.noise_schedule)}"),
-}
+AUGMENT_KINDS = {kind: (AugmentationSpec, keys, name)
+                 for kind, (_, keys, name) in AUGMENTATIONS.items()}
 
 # preprocessing op -> (class, config key -> field, name fragment)
 STEP_OPS = {cls.op: (cls, _keys(cls), lambda s: s.tag.format(**vars(s)))

@@ -128,8 +128,14 @@ class TestCsvParsing:
         ("t,yaw\n0.0,1.5\n\n\n0.1,abc\n", 5, "non-numeric field in ['0.1', 'abc']"),
         ("t,yaw\r\n\r\n0.0,1.5\r\n0.1,x\r\n", 4, "non-numeric field in ['0.1', 'x']"),
         ("t,yaw\r\r0.0,1.5\r0.1\r", 4, "expected 2 fields, got 1"),
+        # fields longer than csv's default field size limit; in the second
+        # file the bad last row sends the line search back over the long one
+        ("t," + "y" * 200_000 + "\n0.0,1\n", 1, "field larger than field limit (131072)"),
+        ("t,yaw\n0.0," + "1" * 200_000 + "\n0.1,x\n", 2,
+         "field larger than field limit (131072)"),
     ], ids=["short", "short-last", "long-first", "long", "all-short", "whitespace-only",
-            "tab-only", "empty-field", "non-numeric", "crlf-non-numeric", "cr-short"])
+            "tab-only", "empty-field", "non-numeric", "crlf-non-numeric", "cr-short",
+            "header-over-csv-limit", "row-over-csv-limit"])
     def test_error_names_its_file_line(self, tmp_path, body, line, message):
         path = tmp_path / "gt_heading.csv"
         path.write_bytes(body.encode())

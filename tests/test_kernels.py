@@ -111,6 +111,13 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             MaxPool1d(0)
 
+    def test_input_rank_checked(self):
+        with pytest.raises(ShapeError, match=r"expected \(B, C, T\) input, got \(2, 3\)"):
+            MaxPool1d(2).forward(np.zeros((2, 3)))
+        for x in (np.float64(1.0), np.zeros((2, 3, 4))):  # maxpool1d adds a batch axis
+            with pytest.raises(ShapeError, match=r"expected \(B, C, T\) input"):
+                maxpool1d(x, 2)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -180,14 +187,24 @@ class TestBiLstm:
         with pytest.raises(ShapeError):
             BiLSTM(2, 3).forward(np.zeros((1, 4, 5)))
 
+    def test_functional_api_runs_the_layer_on_the_packed_weight(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(2, 12, 6))
+        x = rng.normal(size=(2, 5))
+        layer = BiLSTM(2, 3)
+        layer.params["w"] = w
+        out = bilstm_forward(x, LstmParams(2, 3, w))
+        assert np.array_equal(out, layer.forward(x[None])[0])
+
     def test_params_validate(self):
         params = LstmParams.zeros(2, 3)
         params.validate()
-        params.bwd_b = np.zeros(3)
-        with pytest.raises(ShapeError, match=r"bwd_b has shape \(3,\), expected \(12,\)"):
+        params.w = np.zeros((2, 12, 5))
+        with pytest.raises(ShapeError,
+                           match=r"w has shape \(2, 12, 5\), expected \(2, 12, 6\)"):
             params.validate()
-        params.bwd_b = np.full(12, np.nan)
-        with pytest.raises(NumericError, match="bwd_b contains non-finite values"):
+        params.w = np.full((2, 12, 6), np.nan)
+        with pytest.raises(NumericError, match="w contains non-finite values"):
             params.validate()
 
     def test_init_draw_order(self):

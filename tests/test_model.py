@@ -34,6 +34,17 @@ class TestBuild:
         assert model.fc.params["w"].shape == (256, 256)
         assert model.head.params["w"].shape == (256, 1)
 
+    @pytest.mark.parametrize("mode, convs", [
+        ("single", ["branch0.conv.w", "branch0.conv.b"]),
+        ("head2", ["branch0.conv.w", "branch0.conv.b", "branch1.conv.w", "branch1.conv.b"]),
+        ("head3", ["branch0.conv.w", "branch0.conv.b", "branch1.conv.w", "branch1.conv.b",
+                   "branch2.conv.w", "branch2.conv.b"]),
+    ])
+    def test_parameter_names(self, mode, convs):
+        # the names, in order, that checkpoints and Adam's moments are keyed by
+        model = build_model(replace(SMALL, head_mode=mode), rng())
+        assert list(model.parameters()) == convs + ["lstm.w", "fc.w", "fc.b", "head.w", "head.b"]
+
     def test_head2_shapes(self):
         model = build_model(ModelConfig(head_mode="head2"), rng())
         assert len(model.branches) == 2
@@ -124,6 +135,14 @@ class TestPredict:
         with pytest.raises(UsageError, match="backward called before forward"):
             model.backward(np.ones_like(out))
         np.testing.assert_array_equal(out, model.forward(x))
+
+    def test_predict_clears_every_layer_cache(self):
+        model = build_model(SMALL, rng(28))
+        x = rng(29).normal(size=(4, 6, 20))
+        model.forward(x, train=True, rng=rng(30))
+        model.predict(x)
+        assert all(layer._cache is None for _, layer in model._layers())
+        assert model.drop._mask is None
 
     def test_predict_holds_no_memory_that_grows_with_the_batch(self):
         model = build_model(SMALL, rng(26))
