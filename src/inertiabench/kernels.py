@@ -16,6 +16,13 @@ import numpy as np
 from .errors import NumericError, ShapeError, UsageError
 
 
+def expect_shape(x, *dims):
+    """Raise ShapeError unless ``x`` has one axis per dim and each int dim is its length."""
+    if x.ndim != len(dims) or any(not isinstance(d, str) and d != n
+                                  for d, n in zip(dims, x.shape)):
+        raise ShapeError(f"expected ({', '.join(map(str, dims))}) input, got {x.shape}")
+
+
 # ---------------------------------------------------------------------------
 # specs
 
@@ -148,10 +155,7 @@ class Conv1d(Layer):
         return [x[:, :, i : i + s * (t_out - 1) + 1 : s] for i in range(self.spec.kernel)]
 
     def forward(self, x):
-        if x.ndim != 3 or x.shape[1] != self.spec.in_channels:
-            raise ShapeError(
-                f"expected (B, {self.spec.in_channels}, T) input, got {x.shape}"
-            )
+        expect_shape(x, "B", self.spec.in_channels, "T")
         if not np.all(np.isfinite(x)):
             raise NumericError("conv input contains non-finite values")
         t_out = self.spec.out_steps(x.shape[2])
@@ -205,8 +209,7 @@ class MaxPool1d(Layer):
         self.depth = depth
 
     def forward(self, x):
-        if x.ndim != 3:
-            raise ShapeError(f"expected (B, C, T) input, got {x.shape}")
+        expect_shape(x, "B", "C", "T")
         d = self.depth
         b, c, t = x.shape
         if d > t:
@@ -258,8 +261,7 @@ class BiLSTM(Layer):
         self.params["w"] = w
 
     def forward(self, x):
-        if x.ndim != 3 or x.shape[1] != self.input_size:
-            raise ShapeError(f"expected (B, {self.input_size}, T) input, got {x.shape}")
+        expect_shape(x, "B", self.input_size, "T")
         self._cache = None  # free the previous step's cache before building this one
         b, c, t = x.shape
         h = self.hidden_size
@@ -297,11 +299,8 @@ class BiLSTM(Layer):
             cs[:, k] = i * g + f * cs[:, k - 1] if k else i * g
             hs[:, k] = np.tanh(cs[:, k]) * o
         self._cache = (xh, gates, cs)
-        # (T, B, H) -> (B, H, T), stacked fwd over bwd in natural time order
-        out = np.empty((b, 2 * h, t))
-        out[:, :h] = hs[0].transpose(1, 2, 0)
-        out[:, h:] = hs[1, ::-1].transpose(1, 2, 0)
-        return out
+        # fwd beside bwd in natural time order, (T, B, 2H), seen as (B, 2H, T)
+        return np.concatenate([hs[0], hs[1, ::-1]], axis=2).transpose(1, 2, 0)
 
     def backward(self, gout):
         xh, gates, cs = self._cached()
@@ -379,10 +378,7 @@ class Dense(Layer):
         self.params["b"] = np.zeros(n_out)
 
     def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
-            raise ShapeError(
-                f"expected (B, {self.params['w'].shape[0]}) input, got {x.shape}"
-            )
+        expect_shape(x, "B", self.params["w"].shape[0])
         self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
@@ -449,11 +445,11 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# single-sample functional API (channels x steps arrays)
+# single-sample functional API: each checks the sample it was given, then adds a batch axis
 
 
 def conv1d_forward(x, weights, bias, stride: int = 1):
-    """Valid-padding 1D convolution of a (channels, steps) array.
+    """Valid-padding 1D convolution of a (channels, steps) array or one (steps,) channel.
 
     ``weights`` is (filters, channels, kernel), ``bias`` is (filters,).
     """
@@ -464,6 +460,7 @@ def conv1d_forward(x, weights, bias, stride: int = 1):
     if weights.ndim == 2:
         weights = weights[None]
     spec = ConvSpec(weights.shape[1], weights.shape[0], weights.shape[2], stride)
+    expect_shape(x, spec.in_channels, "T")
     layer = Conv1d(spec)
     layer.params["w"] = weights
     layer.params["b"] = np.asarray(bias, dtype=float) * np.ones(weights.shape[0])
@@ -476,16 +473,19 @@ def relu(x):
 
 def maxpool1d(x, depth: int):
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return MaxPool1d(depth).forward(x[None, None])[0, 0]
-    return MaxPool1d(depth).forward(x[None])[0]
+    sample = x[None] if x.ndim == 1 else x
+    expect_shape(sample, "C", "T")
+    out = MaxPool1d(depth).forward(sample[None])[0]
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def bilstm_forward(x, params: LstmParams):
     params.validate()
+    x = np.asarray(x, dtype=float)
+    expect_shape(x, params.input_size, "T")
     layer = BiLSTM(params.input_size, params.hidden_size)
     layer.params["w"] = params.w
-    return layer.forward(np.asarray(x, dtype=float)[None])[0]
+    return layer.forward(x[None])[0]
 
 
 def dropout_apply(x, spec: DropoutSpec, train: bool, rng=None):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ShapeError, UsageError
-from .kernels import Adam, BiLSTM, Conv1d, ConvSpec, Dense, Dropout, DropoutSpec, MaxPool1d, ReLU
+from .kernels import (Adam, BiLSTM, Conv1d, ConvSpec, Dense, Dropout, DropoutSpec, MaxPool1d,
+                      ReLU, expect_shape)
 from .losses import LossSpec, compute_loss
 
 # channel groups per head mode: indices into (fx, fy, fz, wx, wy, wz)
@@ -87,12 +88,9 @@ class InertialRegressor:
 
     def forward(self, x, train=False, rng=None):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[1] != 6:
-            raise ShapeError(f"expected (B, 6, W) windows, got {x.shape}")
-        parts = []
-        for cols, conv, pool, act in self.branches:
-            parts.append(act.forward(pool.forward(conv.forward(x[:, cols, :]))))
-        trunk = np.concatenate(parts, axis=1)
+        expect_shape(x, "B", 6, "W")
+        trunk = np.concatenate([act.forward(pool.forward(conv.forward(x[:, cols, :])))
+                                for cols, conv, pool, act in self.branches], axis=1)
         hs = self.lstm.forward(trunk)
         hidden = self.config.lstm_hidden
         # sequence summary: forward state at the last step, backward at the first
@@ -110,12 +108,9 @@ class InertialRegressor:
         ghs = np.zeros(self._summary_shape)
         ghs[:, :hidden, -1] = g[:, :hidden]
         ghs[:, hidden:, 0] = g[:, hidden:]
-        gtrunk = self.lstm.backward(ghs)
-        offset = 0
-        for _, conv, pool, act in self.branches:
-            gpart = gtrunk[:, offset : offset + self.config.conv_filters, :]
+        gparts = np.split(self.lstm.backward(ghs), len(self.branches), axis=1)
+        for (_, conv, pool, act), gpart in zip(self.branches, gparts):
             conv.backward(pool.backward(act.backward(gpart)))
-            offset += self.config.conv_filters
 
     def predict(self, windows) -> np.ndarray:
         """Deterministic eval-mode prediction, (batch, output_dim).

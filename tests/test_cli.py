@@ -301,6 +301,8 @@ class TestOneLineErrors:
                                       "report-entry-improvement-not-a-number",
                                       "report-entry-repeated-key",
                                       "report-entry-contradicts-itself",
+                                      "report-entry-runs-without-mean",
+                                      "report-entry-improvement-without-mean",
                                       "unloadable-recordings",
                                       "gt-ends-before-imu",
                                       "unknown-trajectory-kind",
@@ -343,7 +345,13 @@ class TestOneLineErrors:
                 "report-entry-repeated-key": ('"failed_runs": 0',
                                               '"failed_runs": 0, "failed_runs": 1'),
                 "report-entry-contradicts-itself": ('"failed_runs": 0, "mean": 0.5',
-                                                    '"failed_runs": -3, "mean": 7.0')}[case]
+                                                    '"failed_runs": -3, "mean": 7.0'),
+                "report-entry-runs-without-mean": ('"mean": 0.5', '"mean": null'),
+                "report-entry-improvement-without-mean": (
+                    '"rmse_runs": [0.5], "failed_runs": 0, "mean": 0.5, "std": 0.0, '
+                    '"improvement_pct": 0.0',
+                    '"rmse_runs": [], "failed_runs": 1, "mean": null, "std": null, '
+                    '"improvement_pct": 5.0')}[case]
             text = json.dumps({"suite": {"base_seed": 0, "repetitions": 1},
                                "techniques": [entry]})
             assert old in text
@@ -507,6 +515,12 @@ class TestOneLineErrors:
         if case == "report-entry-contradicts-itself":
             assert err == ("error: invalid report.techniques[0]: "
                            "failed_runs must be >= 0, got -3\n")
+        if case == "report-entry-runs-without-mean":
+            assert err == ("error: invalid report.techniques[0]: "
+                           "mean and std must be null exactly when rmse_runs is empty\n")
+        if case == "report-entry-improvement-without-mean":
+            assert err == ("error: invalid report.techniques[0]: "
+                           "improvement_pct must be null when mean is\n")
         if "report" in case:
             assert not os.path.exists(out)
         if case == "train-negative-seed":

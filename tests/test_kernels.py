@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from inertiabench.kernels import (
     bilstm_forward,
     conv1d_forward,
     dropout_apply,
+    expect_shape,
     fc_forward,
     maxpool1d,
     relu,
@@ -114,8 +117,9 @@ class TestMaxPool:
     def test_input_rank_checked(self):
         with pytest.raises(ShapeError, match=r"expected \(B, C, T\) input, got \(2, 3\)"):
             MaxPool1d(2).forward(np.zeros((2, 3)))
-        for x in (np.float64(1.0), np.zeros((2, 3, 4))):  # maxpool1d adds a batch axis
-            with pytest.raises(ShapeError, match=r"expected \(B, C, T\) input"):
+        for x in (np.float64(1.0), np.zeros((2, 3, 4))):  # the caller's shape, not a batch's
+            message = f"expected (C, T) input, got {x.shape}"
+            with pytest.raises(ShapeError, match=re.escape(message)):
                 maxpool1d(x, 2)
 
     def test_matches_brute_force(self):
@@ -323,6 +327,36 @@ class TestDense:
             DenseParams(np.eye(3), np.zeros(2)).validate()
         with pytest.raises(NumericError, match="non-finite"):
             DenseParams(np.eye(3), np.array([0.0, np.inf, 0.0])).validate()
+
+
+class TestInputShapes:
+    def test_expect_shape(self):
+        expect_shape(np.zeros((4, 6, 9)), "B", 6, "T")
+        for x in (np.zeros((4, 5, 9)), np.zeros((4, 6)), np.zeros((1, 4, 6, 9))):
+            message = f"expected (B, 6, T) input, got {x.shape}"
+            with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+                expect_shape(x, "B", 6, "T")
+
+    @pytest.mark.parametrize("layer, x, message", [
+        (Conv1d(ConvSpec(2, 1, 2)), np.zeros((1, 3, 5)),
+         "expected (B, 2, T) input, got (1, 3, 5)"),
+        (BiLSTM(2, 3), np.zeros((1, 4, 5)), "expected (B, 2, T) input, got (1, 4, 5)"),
+        (Dense(3, 2), np.zeros((1, 4)), "expected (B, 3) input, got (1, 4)"),
+    ], ids=["conv", "bilstm", "dense"])
+    def test_layer_messages(self, layer, x, message):
+        with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+            layer.forward(x)
+
+    @pytest.mark.parametrize("call, dims", [
+        (lambda x: conv1d_forward(x, np.ones((1, 2, 2)), 0.0), "(2, T)"),
+        (lambda x: maxpool1d(x, 2), "(C, T)"),
+        (lambda x: bilstm_forward(x, LstmParams.zeros(2, 3)), "(2, T)"),
+    ], ids=["conv1d_forward", "maxpool1d", "bilstm_forward"])
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((2, 3, 4))], ids=["0d", "3d"])
+    def test_single_sample_names_the_shape_it_was_given(self, call, dims, x):
+        message = f"expected {dims} input, got {x.shape}"
+        with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+            call(x)
 
 
 class TestAdam:

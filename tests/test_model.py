@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -71,6 +72,12 @@ class TestBuild:
         for _, _, pool, act in model.branches:
             assert pool._cache[0] == (3, 8, 18)  # the conv output
             assert act._cache.shape == (3, 8, 9)
+
+    def test_input_shape_checked(self):
+        model = build_model(SMALL, rng())
+        message = "expected (B, 6, W) input, got (2, 5, 20)"
+        with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+            model.forward(np.zeros((2, 5, 20)))
 
     def test_invalid_head_mode(self):
         with pytest.raises(ShapeError):

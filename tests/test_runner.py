@@ -11,7 +11,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from inertiabench.augmentation import AUGMENTATIONS, AugmentationSpec
+from inertiabench.augmentation import AugmentationSpec
 from inertiabench.data import (
     DatasetDescriptor,
     InertialSeries,
@@ -481,10 +481,6 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_suite_config(path)
-
-    def test_augment_kinds_are_the_augmentations(self):
-        # the config table and the implementation table name the same kinds
-        assert set(AUGMENT_KINDS) == set(AUGMENTATIONS)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"kind": "distill"}, "unknown technique kind 'distill'"),
