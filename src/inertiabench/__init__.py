@@ -24,7 +24,6 @@ from .preprocessing import PreprocSpec
 from .runner import (
     BenchReport,
     DatasetSpec,
-    ExperimentConfig,
     SuiteConfig,
     TechniqueSpec,
     emit_outputs,
@@ -37,7 +36,6 @@ __all__ = [
     "BenchReport",
     "DatasetDescriptor",
     "DatasetSpec",
-    "ExperimentConfig",
     "GroundTruth",
     "InertialRegressor",
     "InertialSeries",

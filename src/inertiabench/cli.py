@@ -18,7 +18,8 @@ from .data import (
 )
 from .errors import InertiaBenchError, UsageError
 from .runner import (
-    ExperimentConfig,
+    SuiteConfig,
+    TechniqueSpec,
     check_formats,
     emit_outputs,
     evaluate_model,
@@ -60,8 +61,8 @@ def _cmd_bench(args):
     return 2 if any(r.failed for r in reports) else 0
 
 
-def _experiment(args) -> ExperimentConfig:
-    """The suite's experiment for ``--technique``."""
+def _experiment(args) -> tuple[SuiteConfig, TechniqueSpec]:
+    """The suite and its technique named by ``--technique``."""
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     suite = load_suite_config(args.config)
@@ -69,26 +70,26 @@ def _experiment(args) -> ExperimentConfig:
                      None)
     if technique is None:
         raise UsageError(f"technique '{args.technique}' not found in config")
-    return suite.experiment(technique)
+    return suite, technique
 
 
 def _cmd_train(args):
-    exp = _experiment(args)
-    train_ds, _, model_config = prepare_run(exp, args.seed)
-    model, curve = fit_model(exp, train_ds, model_config, args.seed)
+    suite, technique = _experiment(args)
+    train_ds, _, model_config = prepare_run(suite, technique, args.seed)
+    model, curve = fit_model(suite, technique, train_ds, model_config, args.seed)
     save_checkpoint(args.out, model)
     print(f"final training loss {curve[-1]:.6g}; checkpoint saved to {args.out}")
     return 0
 
 
 def _cmd_eval(args):
-    exp = _experiment(args)
+    suite, technique = _experiment(args)
     model = load_checkpoint(args.checkpoint)
-    label_dim = exp.dataset.descriptor.label_dim
+    label_dim = suite.dataset.descriptor.label_dim
     if model.config.output_dim != label_dim:
         raise UsageError(f"checkpoint predicts {model.config.output_dim} value(s) per "
                          f"window, but the dataset's labels have {label_dim}")
-    _, test_ds, _ = prepare_run(exp, args.seed)
+    _, test_ds, _ = prepare_run(suite, technique, args.seed)
     rmse = evaluate_model(model, test_ds)
     print(f"test RMSE {rmse:.6g}")
     return 0

@@ -350,23 +350,20 @@ class Dropout(Layer):
     def __init__(self, spec: DropoutSpec):
         super().__init__()
         self.spec = spec
-        self._mask = None
 
     def forward(self, x, train=False, rng=None):
         p = self.spec.rate
         if not train or p == 0.0:
-            self._mask = 1.0
+            self._cache = 1.0  # the mask
             return x
         if rng is None:
             raise UsageError("train-mode dropout needs an rng")
         keep = rng.random(x.shape) < (1.0 - p)
-        self._mask = keep / (1.0 - p)
-        return x * self._mask
+        self._cache = keep / (1.0 - p)
+        return x * self._cache
 
     def backward(self, gout):
-        if self._mask is None:
-            raise UsageError("backward called before forward")
-        return gout * self._mask
+        return gout * self._cached()
 
 
 class Dense(Layer):
@@ -499,5 +496,6 @@ def fc_forward(x, params: DenseParams):
     layer.params["w"] = params.weights
     layer.params["b"] = params.bias
     if x.ndim == 1:
+        expect_shape(x, params.weights.shape[0])
         return layer.forward(x[None])[0]
     return layer.forward(x)

@@ -55,6 +55,9 @@ class InertialRegressor:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
+        # one conv -> pool -> ReLU branch per channel group rather than one
+        # grouped conv: a branch pools its conv output before the next branch
+        # runs, so only one group's full-length conv output is alive at a time
         self.branches = []
         for group in _GROUPS[config.head_mode]:
             spec = ConvSpec(len(group), config.conv_filters, config.kernel_size,
@@ -121,7 +124,6 @@ class InertialRegressor:
         out = self.forward(windows, train=False)
         for _, layer in self._layers():
             layer._cache = None
-        self.drop._mask = None
         return out
 
 

@@ -1,8 +1,10 @@
 """Seeded, repeatable benchmarking of enhancement techniques.
 
-The pipeline per run is: load recordings -> series-level preprocessing ->
-time split -> windowing + labels -> per-window detrending -> augmentation
-(training split only) -> training -> RMSE on the untouched test split.
+A run is ``(suite, technique, seed)``: the suite's dataset, model, training
+setup and split, one of its techniques and a seed.  The pipeline per run is:
+load recordings -> series-level preprocessing -> time split -> windowing +
+labels -> per-window detrending -> augmentation (training split only) ->
+training -> RMSE on the untouched test split.
 Run ``i`` of every technique uses seed ``base_seed + i``, so techniques that
 share a model configuration start from identical initial weights.
 """
@@ -202,24 +204,6 @@ class TechniqueSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: DatasetSpec
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    technique: TechniqueSpec = field(default_factory=lambda: TechniqueSpec("baseline"))
-    train_fraction: float = 0.75
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train fraction must be in (0, 1): {self.train_fraction}")
-        window, m = self.dataset.descriptor.window_size, self.model
-        conv = ConvSpec(6, m.conv_filters, m.kernel_size, m.stride)  # the single head's conv
-        if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
-            raise ConfigError(f"window size {window} is too short for conv kernel "
-                              f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
-
-
-@dataclass(frozen=True)
 class SuiteConfig:
     dataset: DatasetSpec
     techniques: tuple[TechniqueSpec, ...]
@@ -234,17 +218,18 @@ class SuiteConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        self.experiment(TechniqueSpec("baseline"))  # the checks every run makes
+        if not (0.0 < self.train_fraction < 1.0):
+            raise ConfigError(f"train fraction must be in (0, 1): {self.train_fraction}")
+        window, m = self.dataset.descriptor.window_size, self.model
+        conv = ConvSpec(6, m.conv_filters, m.kernel_size, m.stride)  # the single head's conv
+        if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
+            raise ConfigError(f"window size {window} is too short for conv kernel "
+                              f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
         repeated = _repeated([t.name for t in self.techniques])
         if repeated:
             raise ConfigError(f"repeated technique name(s) {repeated}")
-
-    def experiment(self, technique: TechniqueSpec) -> ExperimentConfig:
-        return ExperimentConfig(dataset=self.dataset, model=self.model,
-                                train=self.train, technique=technique,
-                                train_fraction=self.train_fraction)
 
 
 @dataclass
@@ -351,10 +336,10 @@ def _windowed(parts: list[WindowedDataset], descriptor, detrend: bool):
                            np.concatenate([p.labels for p in parts]), descriptor)
 
 
-def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
+def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordings=None):
     """Build (train dataset, test dataset, model config) for one run.
 
-    ``recordings`` are ``load_recordings(exp.dataset)``, loaded here when not
+    ``recordings`` are ``load_recordings(suite.dataset)``, loaded here when not
     given; their arrays are made read-only, because callers share them
     between runs.  Preprocessing applies identically to both splits except
     that normalization statistics come from the training split only;
@@ -362,10 +347,9 @@ def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
     whole recording before the time split, so the samples around the split
     boundary average over both sides of it.
     """
-    technique = exp.technique
     if recordings is None:
         with _stage("parse"):
-            recordings = load_recordings(exp.dataset)
+            recordings = load_recordings(suite.dataset)
     _read_only(recordings)
 
     steps = technique.preprocess.steps if technique.preprocess else ()
@@ -383,16 +367,16 @@ def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
                 ]
             elif isinstance(step, NormalizeStep):
                 train_imu = np.concatenate(
-                    [_split_series(s, exp.train_fraction)[0].imu for s, _ in recordings]
+                    [_split_series(s, suite.train_fraction)[0].imu for s, _ in recordings]
                 )
                 stats = fit_channel_stats(train_imu, step.method)
                 recordings = [(apply_channel_stats(s, stats), g) for s, g in recordings]
 
     with _stage("window"):
-        descriptor = exp.dataset.descriptor
+        descriptor = suite.dataset.descriptor
         # per recording: (train windows, test windows)
         splits = [[window_dataset(part, gt, descriptor)
-                   for part in _split_series(series, exp.train_fraction)]
+                   for part in _split_series(series, suite.train_fraction)]
                   for series, gt in recordings]
         train_ds, test_ds = (_windowed(parts, descriptor, detrend)
                              for parts in zip(*splits))
@@ -401,35 +385,36 @@ def prepare_run(exp: ExperimentConfig, seed: int, recordings=None):
         with _stage("augment"):
             train_ds = apply_augmentation(train_ds, technique.augment, augment_rng(seed))
 
-    model_config = replace(exp.model, output_dim=exp.dataset.descriptor.label_dim)
+    model_config = replace(suite.model, output_dim=descriptor.label_dim)
     if technique.kind in HEAD_MODES:
         model_config = replace(model_config, head_mode=technique.kind)
     return train_ds, test_ds, model_config
 
 
-def fit_model(exp: ExperimentConfig, train_ds: WindowedDataset,
+def fit_model(suite: SuiteConfig, technique: TechniqueSpec, train_ds: WindowedDataset,
               model_config: ModelConfig, seed: int):
     """Build the seeded model and train it; returns (model, loss curve).
 
     A ``loss`` technique replaces the suite's training loss with its own.
     """
-    tc = exp.train
-    if exp.technique.kind == "loss":
-        tc = replace(tc, loss=exp.technique.loss)
+    tc = suite.train
+    if technique.kind == "loss":
+        tc = replace(tc, loss=technique.loss)
     model = build_model(model_config, model_init_rng(seed))
     curve = train_model(model, tc, train_ds.windows, train_ds.labels,
                         shuffle_rng=shuffle_rng(seed), dropout_rng=dropout_rng(seed))
     return model, curve
 
 
-def run_experiment(exp: ExperimentConfig, seed: int, recordings=None) -> float:
+def run_experiment(suite: SuiteConfig, technique: TechniqueSpec, seed: int,
+                   recordings=None) -> float:
     """One seeded run; returns the test-split RMSE.
 
     ``recordings`` are passed to ``prepare_run``.
     """
-    train_ds, test_ds, model_config = prepare_run(exp, seed, recordings)
+    train_ds, test_ds, model_config = prepare_run(suite, technique, seed, recordings)
     with _stage("train"):
-        model, _ = fit_model(exp, train_ds, model_config, seed)
+        model, _ = fit_model(suite, technique, train_ds, model_config, seed)
     with _stage("evaluate"):
         return evaluate_model(model, test_ds)
 
@@ -476,12 +461,12 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     from ``worker_count``; reports are identical for any worker count.
     """
     seeds = [suite.base_seed + i for i in range(suite.repetitions)]
-    runs = [(suite.experiment(tech), seed) for tech in suite.techniques for seed in seeds]
+    runs = [(tech, seed) for tech in suite.techniques for seed in seeds]
     workers = worker_count(len(runs))
     with _stage("parse"):
         recordings = load_recordings(suite.dataset)
     # each job of a worker process carries its own pickled copy
-    jobs = [(exp, seed, recordings) for exp, seed in runs]
+    jobs = [(suite, tech, seed, recordings) for tech, seed in runs]
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = list((pool.map if pool else map)(_run_job, jobs))
 

@@ -59,7 +59,7 @@ from inertiabench.preprocessing import (
 )
 from inertiabench.runner import (
     DatasetSpec,
-    ExperimentConfig,
+    SuiteConfig,
     SyntheticSegment,
     TechniqueSpec,
     _split_series,
@@ -122,7 +122,7 @@ def test_criterion_1_gradient_correctness(capfd):
                 target = rng.normal(size=(3, 8))
                 layer = Dropout(DropoutSpec(0.4))
                 layer.forward(x, train=True, rng=rng)
-                mask = layer._mask
+                mask = layer._cache
                 _, gout = compute_loss(spec, target, x * mask)
                 gin = layer.backward(gout)
                 num = numerical_grad(
@@ -401,29 +401,30 @@ def _bench_dataset():
     return DatasetSpec(descriptor=desc, synthetic=segments)
 
 
-def _bench_experiment(technique):
-    return ExperimentConfig(dataset=_bench_dataset(), train=TrainConfig(epochs=1),
-                            technique=technique)
+def _bench_run(technique, seed):
+    """``prepare_run`` of ``technique`` on the bench dataset with the stock model."""
+    suite = SuiteConfig(dataset=_bench_dataset(), techniques=(TechniqueSpec("baseline"),),
+                        train=TrainConfig(epochs=1))
+    return prepare_run(suite, technique, seed)
 
 
 def test_criterion_5_technique_semantics(capfd):
     with verdict(5, "technique semantics", capfd):
         seed = 2024
-        base_train, base_test, base_cfg = prepare_run(
-            _bench_experiment(TechniqueSpec("baseline")), seed)
+        base_train, base_test, base_cfg = _bench_run(TechniqueSpec("baseline"), seed)
 
         # single-rotation augmentation doubles the training set and leaves
         # the test split untouched
         rot = TechniqueSpec("augment", augment=AugmentationSpec(
             "rotation", rotation_axes=("T1",)))
-        rot_train, rot_test, _ = prepare_run(_bench_experiment(rot), seed)
+        rot_train, rot_test, _ = _bench_run(rot, seed)
         assert len(rot_train) == 2 * len(base_train)
         np.testing.assert_array_equal(rot_test.windows, base_test.windows)
         np.testing.assert_array_equal(rot_test.labels, base_test.labels)
 
         # the stock three-level noise schedule quadruples the training set
         noise = TechniqueSpec("augment", augment=AugmentationSpec("noise"))
-        noise_train, noise_test, _ = prepare_run(_bench_experiment(noise), seed)
+        noise_train, noise_test, _ = _bench_run(noise, seed)
         assert len(noise_train) == 4 * len(base_train)
         np.testing.assert_array_equal(noise_test.windows, base_test.windows)
 
@@ -433,7 +434,7 @@ def test_criterion_5_technique_semantics(capfd):
         # full recordings do not
         zs = TechniqueSpec("preprocess",
                            preprocess=PreprocSpec((NormalizeStep("zscore"),)))
-        zs_train, zs_test, _ = prepare_run(_bench_experiment(zs), seed)
+        zs_train, zs_test, _ = _bench_run(zs, seed)
         from inertiabench.runner import load_recordings
 
         recordings = load_recordings(_bench_dataset())
@@ -458,7 +459,7 @@ def test_criterion_5_technique_semantics(capfd):
         # paired seeding: every technique with the baseline architecture
         # starts from bit-identical parameters
         huber = TechniqueSpec("loss", loss=LossSpec("huber"))
-        _, _, huber_cfg = prepare_run(_bench_experiment(huber), seed)
+        _, _, huber_cfg = _bench_run(huber, seed)
         assert huber_cfg == base_cfg
         pa = build_model(base_cfg, model_init_rng(seed)).parameters()
         pb = build_model(huber_cfg, model_init_rng(seed)).parameters()

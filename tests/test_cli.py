@@ -14,7 +14,6 @@ from inertiabench.losses import LossSpec
 from inertiabench.model import build_model, train_model
 from inertiabench.runner import (
     WORKERS_ENV,
-    ExperimentConfig,
     dropout_rng,
     load_checkpoint,
     load_suite_config,
@@ -217,9 +216,7 @@ class TestTrainEval:
         got = load_checkpoint(ckpt).parameters()
 
         suite = load_suite_config(path)
-        exp = ExperimentConfig(dataset=suite.dataset, model=suite.model,
-                               train=suite.train, technique=suite.techniques[-1])
-        train_ds, _, model_config = prepare_run(exp, 2)
+        train_ds, _, model_config = prepare_run(suite, suite.techniques[-1], 2)
 
         def trained(loss):
             model = build_model(model_config, model_init_rng(2))

@@ -95,7 +95,7 @@ def test_dropout_fixed_mask_grads(loss_kind):
     target = rng.normal(size=(3, 8))
     layer = Dropout(DropoutSpec(0.4))
     layer.forward(x, train=True, rng=rng)  # freeze a mask
-    mask = layer._mask
+    mask = layer._cache
     spec = LossSpec(loss_kind)
 
     def f(xv):

@@ -319,7 +319,8 @@ class TestDense:
 
     def test_shape_mismatch(self):
         params = DenseParams(np.eye(3), np.zeros(3))
-        with pytest.raises(ShapeError):
+        # the sample's own shape, not the batch of one it becomes
+        with pytest.raises(ShapeError, match=re.escape("expected (3) input, got (4,)") + "$"):
             fc_forward(np.ones(4), params)
 
     def test_validate(self):

@@ -149,7 +149,6 @@ class TestPredict:
         model.forward(x, train=True, rng=rng(30))
         model.predict(x)
         assert all(layer._cache is None for _, layer in model._layers())
-        assert model.drop._mask is None
 
     def test_predict_holds_no_memory_that_grows_with_the_batch(self):
         model = build_model(SMALL, rng(26))

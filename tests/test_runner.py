@@ -45,7 +45,6 @@ from inertiabench.runner import (
     WORKERS_ENV,
     BenchReport,
     DatasetSpec,
-    ExperimentConfig,
     SuiteConfig,
     SyntheticSegment,
     TechniqueSpec,
@@ -77,24 +76,28 @@ def tiny_dataset(noise=0.05):
     return DatasetSpec(descriptor=desc, synthetic=segments)
 
 
-def tiny_experiment(technique=TechniqueSpec("baseline")):
-    return ExperimentConfig(dataset=tiny_dataset(), model=TINY_MODEL,
-                            train=TINY_TRAIN, technique=technique)
+BASELINE = TechniqueSpec("baseline")
+
+
+def tiny_suite(dataset=None):
+    """The tiny model on ``dataset`` (default the tiny one); a run takes any technique."""
+    return SuiteConfig(dataset=dataset or tiny_dataset(), techniques=(BASELINE,),
+                       model=TINY_MODEL, train=TINY_TRAIN)
 
 
 class TestRunExperiment:
     def test_baseline_reproducible(self):
-        exp = tiny_experiment()
-        a = run_experiment(exp, 7)
-        b = run_experiment(exp, 7)
+        suite = tiny_suite()
+        a = run_experiment(suite, BASELINE, 7)
+        b = run_experiment(suite, BASELINE, 7)
         assert np.isfinite(a)
         assert a == b
 
     def test_rotation_doubles_training_set_only(self):
-        base_train, base_test, _ = prepare_run(tiny_experiment(), 3)
+        base_train, base_test, _ = prepare_run(tiny_suite(), BASELINE, 3)
         aug = TechniqueSpec("augment",
                             augment=AugmentationSpec("rotation", rotation_axes=("T1",)))
-        aug_train, aug_test, _ = prepare_run(tiny_experiment(aug), 3)
+        aug_train, aug_test, _ = prepare_run(tiny_suite(), aug, 3)
         assert len(aug_train) == 2 * len(base_train)
         np.testing.assert_array_equal(aug_test.windows, base_test.windows)
         np.testing.assert_array_equal(aug_test.labels, base_test.labels)
@@ -106,17 +109,15 @@ class TestRunExperiment:
                          synthetic=(SyntheticSegment("line", duration=4.0, rate=40.0),))
         tech = TechniqueSpec("preprocess",
                              preprocess=PreprocSpec((NormalizeStep("zscore"),)))
-        exp = ExperimentConfig(dataset=ds, model=TINY_MODEL, train=TINY_TRAIN,
-                               technique=tech)
         with pytest.raises(StageError) as exc:
-            run_experiment(exp, 0)
+            run_experiment(tiny_suite(ds), tech, 0)
         assert exc.value.stage == "preprocess"
 
     @staticmethod
     def _split_windows(steps=(), seed=3):
         technique = (TechniqueSpec("preprocess", preprocess=PreprocSpec(steps)) if steps
                      else TechniqueSpec("baseline"))
-        train_ds, test_ds, _ = prepare_run(tiny_experiment(technique), seed)
+        train_ds, test_ds, _ = prepare_run(tiny_suite(), technique, seed)
         return train_ds.windows, test_ds.windows
 
     def test_add_noise_is_seeded(self):
@@ -138,12 +139,12 @@ class TestRunExperiment:
         # the whole recording is smoothed, then split: the first test sample
         # averages a window that reaches back over the split boundary
         n = 9
-        exp = tiny_experiment(
-            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(n),))))
-        raw = load_recordings(exp.dataset)[0][0].imu
-        _, test_ds, _ = prepare_run(exp, 0)
-        k = int(round((len(raw) - n + 1) * exp.train_fraction))
-        boundary = int(round(len(raw) * exp.train_fraction))
+        suite = tiny_suite()
+        tech = TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(n),)))
+        raw = load_recordings(suite.dataset)[0][0].imu
+        _, test_ds, _ = prepare_run(suite, tech, 0)
+        k = int(round((len(raw) - n + 1) * suite.train_fraction))
+        boundary = int(round(len(raw) * suite.train_fraction))
         assert k < boundary < k + n
         np.testing.assert_allclose(test_ds.windows[0, :, 0], raw[k:k + n].mean(axis=0),
                                    rtol=1e-12, atol=1e-12)
@@ -154,27 +155,26 @@ class TestRunExperiment:
             return series
 
         monkeypatch.setattr("inertiabench.runner.moving_average", denoise_in_place)
-        exp = tiny_experiment(
-            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(3),))))
-        recordings = load_recordings(exp.dataset)
+        suite = tiny_suite()
+        tech = TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(3),)))
+        recordings = load_recordings(suite.dataset)
         before = recordings[0][0].imu.copy()
         with pytest.raises(StageError) as exc:
-            run_experiment(exp, 0, recordings)
+            run_experiment(suite, tech, 0, recordings)
         assert exc.value.stage == "preprocess"
         assert isinstance(exc.value.cause, ValueError)
         np.testing.assert_array_equal(recordings[0][0].imu, before)
 
     def test_head_technique_switches_architecture(self):
-        _, _, cfg = prepare_run(tiny_experiment(TechniqueSpec("head2")), 0)
+        _, _, cfg = prepare_run(tiny_suite(), TechniqueSpec("head2"), 0)
         assert cfg.head_mode == "head2"
 
     def test_paired_seeds_share_initialization(self):
         from inertiabench.model import build_model
         from inertiabench.runner import model_init_rng
 
-        cfg_a = prepare_run(tiny_experiment(), 5)[2]
-        cfg_b = prepare_run(
-            tiny_experiment(TechniqueSpec("loss", loss=LossSpec("huber"))), 5)[2]
+        cfg_a = prepare_run(tiny_suite(), BASELINE, 5)[2]
+        cfg_b = prepare_run(tiny_suite(), TechniqueSpec("loss", loss=LossSpec("huber")), 5)[2]
         assert cfg_a == cfg_b
         pa = build_model(cfg_a, model_init_rng(5)).parameters()
         pb = build_model(cfg_b, model_init_rng(5)).parameters()
@@ -223,6 +223,19 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             SuiteConfig(dataset=tiny_dataset(),
                         techniques=(TechniqueSpec("head2"),))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"train_fraction": 0.0}, "train fraction must be in (0, 1): 0.0"),
+        ({"train_fraction": 1.0}, "train fraction must be in (0, 1): 1.0"),
+        ({"train_fraction": -0.5}, "train fraction must be in (0, 1): -0.5"),
+        ({"model": replace(TINY_MODEL, kernel_size=41)},
+         "window size 40 is too short for conv kernel 41, stride 1 and pool depth 2"),
+        ({"model": replace(TINY_MODEL, pool_depth=39)},
+         "window size 40 is too short for conv kernel 3, stride 1 and pool depth 39"),
+    ])
+    def test_suite_built_in_python_checks_every_run(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            replace(tiny_suite(), **changes)
 
     def test_json_deterministic(self, suite, reports):
         again = run_suite(suite)
@@ -768,3 +781,10 @@ def test_non_finite_number_names_its_key(where, key, tp, bad):
     # passed to parse_suite_config can hold any float
     with pytest.raises(ConfigError, match=rf": {re.escape(key)}(\[\d\])* must be finite, "):
         parse_suite_config(_doc_with(where, key, _holding(tp, bad)))
+
+
+def test_every_public_name_resolves():
+    import inertiabench
+
+    assert [n for n in inertiabench.__all__ if not hasattr(inertiabench, n)] == []
+    assert len(set(inertiabench.__all__)) == len(inertiabench.__all__)
