@@ -15,7 +15,7 @@ from inertiabench.data import (
     window_dataset,
 )
 from inertiabench.losses import metric_rmse
-from inertiabench.model import ModelConfig, TrainConfig, build_model, train_model
+from inertiabench.model import InertialRegressor, ModelConfig, TrainConfig, train_model
 
 # a small model trains in seconds on a laptop; swap in ModelConfig() for
 # the full-size network
@@ -40,7 +40,7 @@ def main():
     print(f"{split} training windows, {len(ds) - split} test windows, "
           f"labels {y_train.min():.3f} .. {y_train.max():.3f} m")
 
-    model = build_model(MODEL, np.random.default_rng(0))
+    model = InertialRegressor(MODEL, np.random.default_rng(0))
     curve = train_model(model, TrainConfig(epochs=30, batch_size=64),
                         x_train, y_train,
                         shuffle_rng=np.random.default_rng(1),

@@ -19,7 +19,7 @@ from .data import (
     window_dataset,
 )
 from .losses import LossSpec, compute_loss, improvement_pct, metric_rmse
-from .model import InertialRegressor, ModelConfig, TrainConfig, build_model, train_model
+from .model import InertialRegressor, ModelConfig, TrainConfig, train_model
 from .preprocessing import PreprocSpec
 from .runner import (
     BenchReport,
@@ -49,7 +49,6 @@ __all__ = [
     "TrainConfig",
     "WindowedDataset",
     "align_gt",
-    "build_model",
     "compute_loss",
     "emit_outputs",
     "improvement_pct",

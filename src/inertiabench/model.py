@@ -51,7 +51,8 @@ class ModelConfig:
 
 
 class InertialRegressor:
-    """A configured network; its parameters are zeros if ``rng`` is None."""
+    """A configured network with uniform +-1/sqrt(fan_in) initial weights drawn
+    from ``rng``, or zeros if ``rng`` is None."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
@@ -125,11 +126,6 @@ class InertialRegressor:
         for _, layer in self._layers():
             layer._cache = None
         return out
-
-
-def build_model(config: ModelConfig, rng: np.random.Generator) -> InertialRegressor:
-    """Construct a model with uniform +-1/sqrt(fan_in) initial weights."""
-    return InertialRegressor(config, rng)
 
 
 @dataclass(frozen=True)

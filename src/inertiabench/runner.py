@@ -44,8 +44,7 @@ from .errors import (ConfigError, DataError, NumericError, ParseError, ShapeErro
                      UsageError)
 from .kernels import ConvSpec
 from .losses import LossSpec, improvement_pct, metric_rmse
-from .model import (HEAD_MODES, InertialRegressor, ModelConfig, TrainConfig, build_model,
-                    train_model)
+from .model import HEAD_MODES, InertialRegressor, ModelConfig, TrainConfig, train_model
 from .preprocessing import (
     STEP_TYPES,
     AddNoiseStep,
@@ -62,6 +61,9 @@ from .preprocessing import (
 
 WORKERS_ENV = "INERTIA_BENCH_WORKERS"
 CHECKPOINT_VERSION = 2
+# a run's random streams: stream i of seed s is seeded [s, i], so reordering
+# them would change every report
+STREAMS = ("init", "shuffle", "dropout", "augment", "preprocess")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,11 @@ STEP_OPS = {cls.op: (cls, _keys(cls), lambda s: s.tag.format(**vars(s)))
 
 
 def _dump(spec, keys) -> dict:
-    return {key: getattr(spec, f) for key, f in keys.items()}
+    return {key: _listed(getattr(spec, f)) for key, f in keys.items()}
+
+
+def _listed(value):  # a tuple field as the list that JSON reads back
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _read_tagged(section, family: dict, tag: str, context: str):
@@ -225,6 +231,10 @@ class SuiteConfig:
         if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
             raise ConfigError(f"window size {window} is too short for conv kernel "
                               f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
+        if (m.head_mode, self.train.loss) != ("single", LossSpec()):
+            raise ConfigError(f"head mode and loss come from techniques, so a suite's are the "
+                              f"baseline's 'single' and {LossSpec()}, got {m.head_mode!r} "
+                              f"and {self.train.loss}")
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
         repeated = _repeated([t.name for t in self.techniques])
@@ -256,26 +266,6 @@ class BenchReport:
     @property
     def failed(self) -> bool:
         return not self.rmse_runs
-
-
-# ---------------------------------------------------------------------------
-# seeding conventions (shared with tests)
-
-
-def model_init_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 0])
-
-
-def shuffle_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 1])
-
-
-def dropout_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 2])
-
-
-def augment_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([seed, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +326,11 @@ def _windowed(parts: list[WindowedDataset], descriptor, detrend: bool):
                            np.concatenate([p.labels for p in parts]), descriptor)
 
 
+def run_rng(seed: int, stream: str) -> np.random.Generator:
+    """The generator of ``stream``, one of STREAMS, in the run of ``seed``."""
+    return np.random.default_rng([seed, STREAMS.index(stream)])
+
+
 def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordings=None):
     """Build (train dataset, test dataset, model config) for one run.
 
@@ -356,7 +351,7 @@ def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordi
     detrend = any(isinstance(s, DetrendStep) for s in steps)
 
     with _stage("preprocess"):
-        rng = np.random.default_rng([seed, 4])
+        rng = run_rng(seed, "preprocess")
         for step in steps:
             if isinstance(step, DenoiseStep):
                 recordings = [(moving_average(s, step.window), g) for s, g in recordings]
@@ -383,7 +378,7 @@ def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordi
 
     if technique.kind == "augment":
         with _stage("augment"):
-            train_ds = apply_augmentation(train_ds, technique.augment, augment_rng(seed))
+            train_ds = apply_augmentation(train_ds, technique.augment, run_rng(seed, "augment"))
 
     model_config = replace(suite.model, output_dim=descriptor.label_dim)
     if technique.kind in HEAD_MODES:
@@ -400,9 +395,10 @@ def fit_model(suite: SuiteConfig, technique: TechniqueSpec, train_ds: WindowedDa
     tc = suite.train
     if technique.kind == "loss":
         tc = replace(tc, loss=technique.loss)
-    model = build_model(model_config, model_init_rng(seed))
+    model = InertialRegressor(model_config, run_rng(seed, "init"))
     curve = train_model(model, tc, train_ds.windows, train_ds.labels,
-                        shuffle_rng=shuffle_rng(seed), dropout_rng=dropout_rng(seed))
+                        shuffle_rng=run_rng(seed, "shuffle"),
+                        dropout_rng=run_rng(seed, "dropout"))
     return model, curve
 
 
@@ -693,8 +689,6 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
     return _build(
         SuiteConfig, doc.get("suite", {}), "suite", dataset=dataset,
         techniques=techniques,
-        # head mode and loss come from techniques only, so the baseline is
-        # always the single-head network trained with MSE
         model=_build(ModelConfig, doc.get("model", {}), "model",
                      _keys(ModelConfig, "output_dim", "head_mode")),
         train=_build(TrainConfig, doc.get("train", {}), "train", _keys(TrainConfig, "loss")))

@@ -46,7 +46,7 @@ from inertiabench.kernels import (
     maxpool1d,
 )
 from inertiabench.losses import LOSS_KINDS, LossSpec, compute_loss, metric_rmse
-from inertiabench.model import ModelConfig, TrainConfig, build_model, train_model
+from inertiabench.model import InertialRegressor, ModelConfig, TrainConfig, train_model
 from inertiabench.preprocessing import (
     NormalizeStep,
     PreprocSpec,
@@ -63,8 +63,8 @@ from inertiabench.runner import (
     SyntheticSegment,
     TechniqueSpec,
     _split_series,
-    model_init_rng,
     prepare_run,
+    run_rng,
 )
 
 from gradcheck import check_layer_grads, max_rel_error, numerical_grad
@@ -288,7 +288,7 @@ def _overfit_run(model_config):
     # labels must be spread well past the convergence threshold, otherwise
     # a constant predictor would pass the check
     assert y.var() > 2e-3
-    model = build_model(model_config, np.random.default_rng(0))
+    model = InertialRegressor(model_config, np.random.default_rng(0))
     curve = train_model(model, TrainConfig(epochs=300, batch_size=64), x, y,
                         shuffle_rng=np.random.default_rng(1),
                         dropout_rng=np.random.default_rng(2))
@@ -461,8 +461,8 @@ def test_criterion_5_technique_semantics(capfd):
         huber = TechniqueSpec("loss", loss=LossSpec("huber"))
         _, _, huber_cfg = _bench_run(huber, seed)
         assert huber_cfg == base_cfg
-        pa = build_model(base_cfg, model_init_rng(seed)).parameters()
-        pb = build_model(huber_cfg, model_init_rng(seed)).parameters()
+        pa = InertialRegressor(base_cfg, run_rng(seed, "init")).parameters()
+        pb = InertialRegressor(huber_cfg, run_rng(seed, "init")).parameters()
         assert set(pa) == set(pb)
         for key in pa:
             np.testing.assert_array_equal(pa[key], pb[key])

@@ -11,16 +11,14 @@ import inertiabench
 from inertiabench.cli import main
 from inertiabench.data import GroundTruth, synthesize_dataset, write_gt_pos_csv, write_imu_csv
 from inertiabench.losses import LossSpec
-from inertiabench.model import build_model, train_model
+from inertiabench.model import InertialRegressor, train_model
 from inertiabench.runner import (
     WORKERS_ENV,
-    dropout_rng,
     load_checkpoint,
     load_suite_config,
-    model_init_rng,
     prepare_run,
+    run_rng,
     save_checkpoint,
-    shuffle_rng,
 )
 
 TINY_CONFIG = {
@@ -190,7 +188,7 @@ class TestTrainEval:
 
     def test_eval_of_a_non_finite_rmse_is_an_error(self, tmp_path, config_path, capsys):
         # finite parameters whose predictions square beyond the float range
-        model = build_model(load_suite_config(config_path).model, model_init_rng(0))
+        model = InertialRegressor(load_suite_config(config_path).model, run_rng(0, "init"))
         model.head.params["b"][:] = 1e200
         ckpt = tmp_path / "model.npz"
         save_checkpoint(ckpt, model)
@@ -219,10 +217,10 @@ class TestTrainEval:
         train_ds, _, model_config = prepare_run(suite, suite.techniques[-1], 2)
 
         def trained(loss):
-            model = build_model(model_config, model_init_rng(2))
+            model = InertialRegressor(model_config, run_rng(2, "init"))
             train_model(model, replace(suite.train, loss=loss), train_ds.windows,
-                        train_ds.labels, shuffle_rng=shuffle_rng(2),
-                        dropout_rng=dropout_rng(2))
+                        train_ds.labels, shuffle_rng=run_rng(2, "shuffle"),
+                        dropout_rng=run_rng(2, "dropout"))
             return model.parameters()
 
         huber = trained(LossSpec("huber", 0.05))
@@ -239,7 +237,7 @@ class TestTrainEval:
         path.write_text(json.dumps(doc))
         suite = load_suite_config(config_path)
         ckpt = tmp_path / "model.npz"
-        save_checkpoint(ckpt, build_model(suite.model, model_init_rng(0)))  # 1 output
+        save_checkpoint(ckpt, InertialRegressor(suite.model, run_rng(0, "init")))  # 1 output
         code = main(["eval", "--config", str(path), "--checkpoint", str(ckpt)])
         assert code == 1
         err = capsys.readouterr().err
@@ -370,8 +368,8 @@ class TestOneLineErrors:
                 meta = json.dumps({"version": 2, "config": {"filters": 4}}).encode()
                 np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8))
             elif case in ("checkpoint-version-1", "checkpoint-fractional-conv-filters"):
-                save_checkpoint(ckpt, build_model(load_suite_config(config_path).model,
-                                                  model_init_rng(0)))
+                save_checkpoint(ckpt, InertialRegressor(load_suite_config(config_path).model,
+                                                        run_rng(0, "init")))
                 with np.load(ckpt) as archive:
                     arrays = {k: archive[k] for k in archive.files}
                 meta = json.loads(arrays["__meta__"].tobytes().decode())
@@ -389,7 +387,7 @@ class TestOneLineErrors:
             elif case == "checkpoint-empty":
                 ckpt.write_bytes(b"")
             elif case == "checkpoint-non-finite":
-                model = build_model(load_suite_config(config_path).model, model_init_rng(0))
+                model = InertialRegressor(load_suite_config(config_path).model, run_rng(0, "init"))
                 model.head.params["b"][0] = np.nan
                 save_checkpoint(ckpt, model)
             else:

@@ -1,6 +1,7 @@
-"""Every script under demos/ runs to completion against the current API."""
+"""Every script under demos/ and the README's quickstart run against the current API."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,4 +21,15 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demos / script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.DOTALL)
+    assert block and "TrainConfig(epochs=30)" in block[1]
+    code = block[1].replace("TrainConfig(epochs=30)", "TrainConfig(epochs=1)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

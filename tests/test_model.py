@@ -14,7 +14,6 @@ from inertiabench.model import (
     InertialRegressor,
     ModelConfig,
     TrainConfig,
-    build_model,
     train_model,
 )
 from inertiabench.runner import load_checkpoint, save_checkpoint
@@ -29,7 +28,7 @@ def rng(seed=0):
 
 class TestBuild:
     def test_single_head_shapes(self):
-        model = build_model(ModelConfig(), rng())
+        model = InertialRegressor(ModelConfig(), rng())
         assert model.branches[0][1].spec.in_channels == 6
         assert model.lstm.input_size == 64
         assert model.fc.params["w"].shape == (256, 256)
@@ -43,38 +42,38 @@ class TestBuild:
     ])
     def test_parameter_names(self, mode, convs):
         # the names, in order, that checkpoints and Adam's moments are keyed by
-        model = build_model(replace(SMALL, head_mode=mode), rng())
+        model = InertialRegressor(replace(SMALL, head_mode=mode), rng())
         assert list(model.parameters()) == convs + ["lstm.w", "fc.w", "fc.b", "head.w", "head.b"]
 
     def test_head2_shapes(self):
-        model = build_model(ModelConfig(head_mode="head2"), rng())
+        model = InertialRegressor(ModelConfig(head_mode="head2"), rng())
         assert len(model.branches) == 2
         assert all(b[1].spec.in_channels == 3 for b in model.branches)
         assert model.lstm.input_size == 128
 
     def test_head3_shapes(self):
-        model = build_model(ModelConfig(head_mode="head3"), rng())
+        model = InertialRegressor(ModelConfig(head_mode="head3"), rng())
         assert len(model.branches) == 3
         assert all(b[1].spec.in_channels == 2 for b in model.branches)
         assert model.lstm.input_size == 192
 
     def test_same_seed_identical_parameters(self):
-        a = build_model(SMALL, rng(42))
-        b = build_model(SMALL, rng(42))
+        a = InertialRegressor(SMALL, rng(42))
+        b = InertialRegressor(SMALL, rng(42))
         for k, v in a.parameters().items():
             np.testing.assert_array_equal(v, b.parameters()[k])
 
     @pytest.mark.parametrize("mode", HEAD_MODES)
     def test_relu_runs_on_pooled_data(self, mode):
         # conv -> maxpool -> ReLU: each branch's ReLU mask has the pooled shape
-        model = build_model(replace(SMALL, head_mode=mode), rng())
+        model = InertialRegressor(replace(SMALL, head_mode=mode), rng())
         model.forward(rng(1).normal(size=(3, 6, 20)))
         for _, _, pool, act in model.branches:
             assert pool._cache[0] == (3, 8, 18)  # the conv output
             assert act._cache.shape == (3, 8, 9)
 
     def test_input_shape_checked(self):
-        model = build_model(SMALL, rng())
+        model = InertialRegressor(SMALL, rng())
         message = "expected (B, 6, W) input, got (2, 5, 20)"
         with pytest.raises(ShapeError, match=re.escape(message) + "$"):
             model.forward(np.zeros((2, 5, 20)))
@@ -109,13 +108,13 @@ class TestPredict:
         np.testing.assert_allclose(out, 1.25)
 
     def test_identical_windows_identical_predictions(self):
-        model = build_model(SMALL, rng(4))
+        model = InertialRegressor(SMALL, rng(4))
         w = np.random.default_rng(5).normal(size=(1, 6, 20))
         out = model.predict(np.repeat(w, 5, axis=0))
         np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
 
     def test_batch_order_equivariance(self):
-        model = build_model(SMALL, rng(6))
+        model = InertialRegressor(SMALL, rng(6))
         x = np.random.default_rng(7).normal(size=(8, 6, 20))
         perm = np.random.default_rng(8).permutation(8)
         np.testing.assert_allclose(model.predict(x)[perm], model.predict(x[perm]),
@@ -125,17 +124,17 @@ class TestPredict:
         for mode in ("single", "head2", "head3"):
             cfg = ModelConfig(head_mode=mode, conv_filters=4, kernel_size=3,
                               pool_depth=2, lstm_hidden=4, fc_width=8)
-            model = build_model(cfg, rng(9))
+            model = InertialRegressor(cfg, rng(9))
             out = model.predict(np.zeros((2, 6, 15)))
             assert out.shape == (2, 1)
 
     def test_wrong_channel_count_rejected(self):
-        model = build_model(SMALL, rng(10))
+        model = InertialRegressor(SMALL, rng(10))
         with pytest.raises(ShapeError):
             model.predict(np.zeros((1, 5, 20)))
 
     def test_backward_after_predict_raises(self):
-        model = build_model(SMALL, rng(23))
+        model = InertialRegressor(SMALL, rng(23))
         x = rng(24).normal(size=(4, 6, 20))
         model.forward(x, train=True, rng=rng(25))
         out = model.predict(x)
@@ -144,14 +143,14 @@ class TestPredict:
         np.testing.assert_array_equal(out, model.forward(x))
 
     def test_predict_clears_every_layer_cache(self):
-        model = build_model(SMALL, rng(28))
+        model = InertialRegressor(SMALL, rng(28))
         x = rng(29).normal(size=(4, 6, 20))
         model.forward(x, train=True, rng=rng(30))
         model.predict(x)
         assert all(layer._cache is None for _, layer in model._layers())
 
     def test_predict_holds_no_memory_that_grows_with_the_batch(self):
-        model = build_model(SMALL, rng(26))
+        model = InertialRegressor(SMALL, rng(26))
 
         def held_after_predict(n):
             x = rng(27).normal(size=(n, 6, 20))
@@ -172,13 +171,13 @@ class TestPredict:
 
 class TestTraining:
     def test_empty_dataset_rejected(self):
-        model = build_model(SMALL, rng(11))
+        model = InertialRegressor(SMALL, rng(11))
         with pytest.raises(UsageError):
             train_model(model, TrainConfig(epochs=1), np.zeros((0, 6, 20)),
                         np.zeros((0, 1)), shuffle_rng=rng(0), dropout_rng=rng(1))
 
     def test_count_mismatch_rejected(self):
-        model = build_model(SMALL, rng(11))
+        model = InertialRegressor(SMALL, rng(11))
         with pytest.raises(ShapeError, match="window/label count mismatch"):
             train_model(model, TrainConfig(epochs=1), np.zeros((3, 6, 20)),
                         np.zeros((2, 1)), shuffle_rng=rng(0), dropout_rng=rng(1))
@@ -189,7 +188,7 @@ class TestTraining:
         y = data_rng.normal(size=(10, 1))
         curves = []
         for _ in range(2):
-            model = build_model(SMALL, rng(13))
+            model = InertialRegressor(SMALL, rng(13))
             curves.append(train_model(model, TrainConfig(epochs=3), x, y,
                                       shuffle_rng=rng(5), dropout_rng=rng(6)))
         assert curves[0] == curves[1]
@@ -198,13 +197,13 @@ class TestTraining:
         data_rng = np.random.default_rng(14)
         x = data_rng.normal(size=(8, 6, 20))
         y = data_rng.uniform(0.0, 1.0, size=(8, 1))
-        model = build_model(SMALL, rng(15))
+        model = InertialRegressor(SMALL, rng(15))
         curve = train_model(model, TrainConfig(epochs=60), x, y,
                             shuffle_rng=rng(1), dropout_rng=rng(2))
         assert curve[-1] < curve[0]
 
     def test_nan_loss_aborts(self):
-        model = build_model(SMALL, rng(16))
+        model = InertialRegressor(SMALL, rng(16))
         x = np.random.default_rng(17).normal(size=(4, 6, 20))
         y = np.full((4, 1), np.nan)
         with pytest.raises(NumericError):
@@ -213,7 +212,7 @@ class TestTraining:
 
     def test_gradient_flow_through_full_model(self):
         # every parameter must receive a gradient after one backward pass
-        model = build_model(SMALL, rng(18))
+        model = InertialRegressor(SMALL, rng(18))
         x = np.random.default_rng(19).normal(size=(3, 6, 20))
         pred = model.forward(x, train=False)
         _, g = compute_loss(LossSpec("mse"), np.ones_like(pred), pred)
@@ -231,7 +230,7 @@ class TestTraining:
                 v_hat = v[name] / (1 - b2**t)
                 params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        model = build_model(SMALL, rng(28))
+        model = InertialRegressor(SMALL, rng(28))
         data = rng(29)
         x, y = data.normal(size=(5, 6, 20)), data.normal(size=(5, 1))
         expected = {k: p.copy() for k, p in model.parameters().items()}
@@ -256,7 +255,7 @@ class TestTraining:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         for mode in HEAD_MODES:
-            model = build_model(replace(SMALL, head_mode=mode), rng(20))
+            model = InertialRegressor(replace(SMALL, head_mode=mode), rng(20))
             path = tmp_path / f"{mode}.npz"
             save_checkpoint(path, model)
             loaded = load_checkpoint(path)
@@ -270,7 +269,7 @@ class TestCheckpoint:
     def _rewrite(self, tmp_path, edit):
         """Save a model, let ``edit`` change its parameter arrays, save again."""
         path = tmp_path / "model.npz"
-        save_checkpoint(path, build_model(SMALL, rng(22)))
+        save_checkpoint(path, InertialRegressor(SMALL, rng(22)))
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files}
         edit(arrays)

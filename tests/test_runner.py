@@ -28,7 +28,7 @@ from inertiabench.errors import (
     StageError,
 )
 from inertiabench.losses import LossSpec
-from inertiabench.model import ModelConfig, TrainConfig
+from inertiabench.model import InertialRegressor, ModelConfig, TrainConfig
 from inertiabench.preprocessing import (
     AddNoiseStep,
     DenoiseStep,
@@ -42,6 +42,7 @@ from inertiabench.runner import (
     AUGMENT_KINDS,
     LOSS_KEYS,
     STEP_OPS,
+    STREAMS,
     WORKERS_ENV,
     BenchReport,
     DatasetSpec,
@@ -56,6 +57,7 @@ from inertiabench.runner import (
     prepare_run,
     report_to_json,
     run_experiment,
+    run_rng,
     run_suite,
     worker_count,
 )
@@ -170,16 +172,22 @@ class TestRunExperiment:
         assert cfg.head_mode == "head2"
 
     def test_paired_seeds_share_initialization(self):
-        from inertiabench.model import build_model
-        from inertiabench.runner import model_init_rng
-
         cfg_a = prepare_run(tiny_suite(), BASELINE, 5)[2]
         cfg_b = prepare_run(tiny_suite(), TechniqueSpec("loss", loss=LossSpec("huber")), 5)[2]
         assert cfg_a == cfg_b
-        pa = build_model(cfg_a, model_init_rng(5)).parameters()
-        pb = build_model(cfg_b, model_init_rng(5)).parameters()
+        pa = InertialRegressor(cfg_a, run_rng(5, "init")).parameters()
+        pb = InertialRegressor(cfg_b, run_rng(5, "init")).parameters()
         for k in pa:
             np.testing.assert_array_equal(pa[k], pb[k])
+
+    def test_stream_numbering(self):
+        # stream i of seed s is seeded [s, i]: a reorder would move every report's bytes
+        assert STREAMS == ("init", "shuffle", "dropout", "augment", "preprocess")
+        for i, name in enumerate(STREAMS):
+            np.testing.assert_array_equal(run_rng(7, name).random(4),
+                                          np.random.default_rng([7, i]).random(4))
+        with pytest.raises(ValueError):
+            run_rng(7, "noise")
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +240,13 @@ class TestRunSuite:
          "window size 40 is too short for conv kernel 41, stride 1 and pool depth 2"),
         ({"model": replace(TINY_MODEL, pool_depth=39)},
          "window size 40 is too short for conv kernel 3, stride 1 and pool depth 39"),
+        # the config reader has no key for either: techniques set them
+        ({"model": replace(TINY_MODEL, head_mode="head3")},
+         "head mode and loss come from techniques, so a suite's are the baseline's 'single' "
+         "and LossSpec(kind='mse', delta=1.0), got 'head3' and LossSpec(kind='mse', delta=1.0)"),
+        ({"train": replace(TINY_TRAIN, loss=LossSpec("mae"))},
+         "head mode and loss come from techniques, so a suite's are the baseline's 'single' "
+         "and LossSpec(kind='mse', delta=1.0), got 'single' and LossSpec(kind='mae', delta=1.0)"),
     ])
     def test_suite_built_in_python_checks_every_run(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
@@ -526,6 +541,7 @@ class TestConfigParsing:
         ])
     def test_to_dict_round_trips(self, entry):
         t = _parse_technique(entry)
+        assert _parse_technique(t.to_dict()) == t
         assert _parse_technique(json.loads(json.dumps(t.to_dict()))) == t
         assert t.to_dict().get("name") == entry.get("name")
 
