@@ -10,7 +10,9 @@ import numpy as np
 
 from inertiabench.augmentation import (
     DEFAULT_NOISE_SCHEDULE,
-    AugmentationSpec,
+    BiasAugment,
+    NoiseAugment,
+    RotationAugment,
     apply_augmentation,
     rotation_matrix,
 )
@@ -40,20 +42,13 @@ def main():
         print(f"{name} rotates [1,0,0] to {np.round(r @ [1, 0, 0], 4)}")
 
     rng = np.random.default_rng(0)
-    describe("rotation T1",
-             ds, apply_augmentation(ds, AugmentationSpec("rotation"), rng))
+    describe("rotation T1", ds, apply_augmentation(ds, RotationAugment(), rng))
     describe("rotation T1+T2+T3",
-             ds, apply_augmentation(
-                 ds, AugmentationSpec("rotation",
-                                      rotation_axes=("T1", "T2", "T3")), rng))
-    describe("bias x1",
-             ds, apply_augmentation(ds, AugmentationSpec("bias"), rng))
-    describe("bias x3",
-             ds, apply_augmentation(ds, AugmentationSpec("bias", bias_copies=3),
-                                    rng))
+             ds, apply_augmentation(ds, RotationAugment(("T1", "T2", "T3")), rng))
+    describe("bias x1", ds, apply_augmentation(ds, BiasAugment(), rng))
+    describe("bias x3", ds, apply_augmentation(ds, BiasAugment(copies=3), rng))
     print(f"noise schedule: {DEFAULT_NOISE_SCHEDULE}")
-    describe("noise x3",
-             ds, apply_augmentation(ds, AugmentationSpec("noise"), rng))
+    describe("noise x3", ds, apply_augmentation(ds, NoiseAugment(), rng))
 
 
 if __name__ == "__main__":

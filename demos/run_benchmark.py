@@ -7,7 +7,7 @@ script.  Positive improvement means lower test RMSE than the baseline.
 
 import os
 
-from inertiabench.augmentation import AugmentationSpec
+from inertiabench.augmentation import RotationAugment
 from inertiabench.data import DatasetDescriptor
 from inertiabench.losses import LossSpec
 from inertiabench.model import ModelConfig, TrainConfig
@@ -40,7 +40,7 @@ def main():
             TechniqueSpec("baseline"),
             TechniqueSpec("head2"),
             TechniqueSpec("loss", loss=LossSpec("huber")),
-            TechniqueSpec("augment", augment=AugmentationSpec("rotation")),
+            TechniqueSpec("augment", augment=RotationAugment()),
             TechniqueSpec("preprocess",
                           preprocess=PreprocSpec((DenoiseStep(5),))),
             TechniqueSpec("preprocess",

@@ -6,7 +6,7 @@ augmentation, signal preprocessing, a synthetic trajectory generator, and a
 seeded benchmark runner that reports RMSE improvements against a baseline.
 """
 
-from .augmentation import AugmentationSpec, rotation_matrix
+from .augmentation import BiasAugment, NoiseAugment, RotationAugment, rotation_matrix
 from .data import (
     DatasetDescriptor,
     GroundTruth,
@@ -32,8 +32,8 @@ from .runner import (
 )
 
 __all__ = [
-    "AugmentationSpec",
     "BenchReport",
+    "BiasAugment",
     "DatasetDescriptor",
     "DatasetSpec",
     "GroundTruth",
@@ -41,7 +41,9 @@ __all__ = [
     "InertialSeries",
     "LossSpec",
     "ModelConfig",
+    "NoiseAugment",
     "PreprocSpec",
+    "RotationAugment",
     "SuiteConfig",
     "SynthParams",
     "SyntheticSegment",

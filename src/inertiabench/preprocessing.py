@@ -17,18 +17,21 @@ from .errors import DegenerateChannelError, ShapeError
 
 
 # Each step class carries its config ``op`` and the ``tag`` it adds to a
-# technique's name, a template formatted with the step's fields.
+# technique's name.
 
 
 @dataclass(frozen=True)
 class DenoiseStep:
     op: ClassVar[str] = "denoise"
-    tag: ClassVar[str] = "denoise{window}"
     window: int
 
     def __post_init__(self):
         if self.window < 1:
             raise ShapeError(f"moving-average window must be >= 1, got {self.window}")
+
+    @property
+    def tag(self) -> str:
+        return f"denoise{self.window}"
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,15 @@ class AddNoiseStep:
 @dataclass(frozen=True)
 class NormalizeStep:
     op: ClassVar[str] = "normalize"
-    tag: ClassVar[str] = "{method}"
     method: str = "zscore"
 
     def __post_init__(self):
         if self.method not in ("zscore", "robust"):
             raise ShapeError(f"unknown normalization method '{self.method}'")
+
+    @property
+    def tag(self) -> str:
+        return self.method
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .augmentation import AUGMENTATIONS, AugmentationSpec, apply_augmentation
+from .augmentation import (AUGMENT_TYPES, BiasAugment, NoiseAugment, RotationAugment,
+                           apply_augmentation)
 from .data import (
     DatasetDescriptor,
     GroundTruth,
@@ -108,14 +109,8 @@ def _keys(cls, *exclude) -> dict:
 
 
 LOSS_KEYS = {"loss": "kind", "delta": "delta"}  # config key -> LossSpec field
-
-# augmentation kind -> (class, config key -> field, name fragment)
-AUGMENT_KINDS = {kind: (AugmentationSpec, keys, name)
-                 for kind, (_, keys, name) in AUGMENTATIONS.items()}
-
-# preprocessing op -> (class, config key -> field, name fragment)
-STEP_OPS = {cls.op: (cls, _keys(cls), lambda s: s.tag.format(**vars(s)))
-            for cls in STEP_TYPES}
+AUGMENT_KINDS = {cls.kind: cls for cls in AUGMENT_TYPES}  # augmentation kind -> class
+STEP_OPS = {cls.op: cls for cls in STEP_TYPES}  # preprocessing op -> class
 
 
 def _dump(spec, keys) -> dict:
@@ -127,39 +122,38 @@ def _listed(value):  # a tuple field as the list that JSON reads back
 
 
 def _read_tagged(section, family: dict, tag: str, context: str):
-    """A spec from an entry whose ``tag`` key picks its row of ``family``."""
+    """A spec from an entry whose ``tag`` key picks its class in ``family``."""
     section = dict(_section(section, context))
     value = section.pop(tag, None)
     if not isinstance(value, str) or value not in family:
         raise ConfigError(f"unknown {tag} {value!r} in {context}")
-    cls, keys, _ = family[value]
-    return _build(cls, section, context, keys, **({tag: value} if tag in _keys(cls) else {}))
+    return _build(family[value], section, context)
 
 
-def _write_tagged(spec, family: dict, tag: str) -> dict:
-    value = getattr(spec, tag)
-    return {tag: value, **_dump(spec, family[value][1])}
+def _write_tagged(spec, tag: str) -> dict:
+    return {tag: getattr(spec, tag), **_dump(spec, _keys(type(spec)))}
 
 
-# technique kind -> (read, write, name) of its inner spec, or None for kinds
-# without one: read builds the spec from the entry's other keys and a context
-# for errors, write gives those keys back, name gives the name fragment
+# technique kind -> (types, read, write, name) of its inner spec, or None for
+# kinds without one: types are the spec's class(es), read builds the spec from
+# the entry's other keys and a context for errors, write gives those keys back,
+# name gives the name fragment
 TECHNIQUE_KINDS = {
     "baseline": None,
     **{mode: None for mode in HEAD_MODES if mode != "single"},
-    "loss": (lambda e, c: _build(LossSpec, e, c, LOSS_KEYS, required=("loss",)),
+    "loss": (LossSpec, lambda e, c: _build(LossSpec, e, c, LOSS_KEYS, required=("loss",)),
              lambda s: _dump(s, LOSS_KEYS), lambda s: s.kind),
     "augment": (
+        AUGMENT_TYPES,
         lambda e, c: _read_tagged(_sole(e, "augment", c), AUGMENT_KINDS, "kind",
                                   f"{c}.augment"),
-        lambda a: {"augment": _write_tagged(a, AUGMENT_KINDS, "kind")},
-        lambda a: AUGMENT_KINDS[a.kind][2](a)),
+        lambda a: {"augment": _write_tagged(a, "kind")}, lambda a: a.tag),
     "preprocess": (
-        lambda e, c: _make(PreprocSpec, c, steps=tuple(
+        PreprocSpec, lambda e, c: _make(PreprocSpec, c, steps=tuple(
             _read_tagged(s, STEP_OPS, "op", f"{c}.steps[{i}]")
             for i, s in enumerate(_value(list, _sole(e, "steps", c), c, "steps")))),
-        lambda p: {"steps": [_write_tagged(s, STEP_OPS, "op") for s in p.steps]},
-        lambda p: "+".join(STEP_OPS[s.op][2](s) for s in p.steps)),
+        lambda p: {"steps": [_write_tagged(s, "op") for s in p.steps]},
+        lambda p: "+".join(s.tag for s in p.steps)),
 }
 
 
@@ -173,7 +167,7 @@ class TechniqueSpec:
 
     kind: str
     loss: LossSpec | None = None
-    augment: AugmentationSpec | None = None
+    augment: RotationAugment | BiasAugment | NoiseAugment | None = None
     preprocess: PreprocSpec | None = None
     label: str | None = None
 
@@ -182,10 +176,11 @@ class TechniqueSpec:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
         if self.label == "":
             raise ConfigError("technique name must not be empty")
-        for inner in (k for k, v in TECHNIQUE_KINDS.items() if v is not None):
-            if (getattr(self, inner) is None) == (inner == self.kind):
+        for inner, (types, *_) in ((k, v) for k, v in TECHNIQUE_KINDS.items() if v is not None):
+            spec = getattr(self, inner)  # one of its types for its own kind, else None
+            if (spec is None) == (inner == self.kind) or not isinstance(spec, (types, type(None))):
                 raise ConfigError(f"technique '{self.kind}' takes exactly its own "
-                                  f"inner spec, got {inner}={getattr(self, inner)!r}")
+                                  f"inner spec, got {inner}={spec!r}")
 
     @property
     def name(self) -> str:
@@ -194,7 +189,7 @@ class TechniqueSpec:
         inner = TECHNIQUE_KINDS[self.kind]
         if inner is None:
             return self.kind
-        _, _, name = inner
+        *_, name = inner
         return f"{self.kind}-{name(getattr(self, self.kind))}"
 
     def to_dict(self) -> dict:
@@ -204,7 +199,7 @@ class TechniqueSpec:
             out["name"] = self.label
         inner = TECHNIQUE_KINDS[self.kind]
         if inner is not None:
-            _, write, _ = inner
+            _, _, write, _ = inner
             out.update(write(getattr(self, self.kind)))
         return out
 
@@ -676,7 +671,7 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
         _check(entry, (), (), context)
         return _make(TechniqueSpec, context, kind=kind, label=label)
     return _make(TechniqueSpec, context, kind=kind, label=label,
-                 **{kind: inner[0](entry, context)})
+                 **{kind: inner[1](entry, context)})
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:

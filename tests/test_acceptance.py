@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from inertiabench.augmentation import AugmentationSpec, rotation_matrix, rotate_samples
+from inertiabench.augmentation import (BiasAugment, NoiseAugment, RotationAugment,
+                                       apply_augmentation, rotate_samples, rotation_matrix)
 from inertiabench.cli import main as cli_main
 from inertiabench.data import (
     DatasetDescriptor,
@@ -209,16 +210,13 @@ def test_criterion_2_closed_form_oracles(capfd):
         np.testing.assert_allclose(rot[3:, 0], [0.5, 0.8660, 0.0], atol=1e-4)
 
         # bias copies: reproducible under the same seed, pairwise distinct
-        from inertiabench.augmentation import augment_bias, augment_noise
-
         desc = DatasetDescriptor("t", 100.0, 20, 20, "distance_xy")
         base = np.random.default_rng(2).normal(size=(10, 6, 20))
         from inertiabench.data import WindowedDataset
 
         wds = WindowedDataset(base, np.zeros((10, 1)), desc)
-        spec3 = AugmentationSpec("bias", bias_copies=3)
-        a = augment_bias(wds, spec3, np.random.default_rng(3))
-        b = augment_bias(wds, spec3, np.random.default_rng(3))
+        a = apply_augmentation(wds, BiasAugment(copies=3), np.random.default_rng(3))
+        b = apply_augmentation(wds, BiasAugment(copies=3), np.random.default_rng(3))
         np.testing.assert_array_equal(a.windows, b.windows)
         offsets = [a.windows[10 * (i + 1)][:, 0] - base[0][:, 0] for i in range(3)]
         for i in range(3):
@@ -228,9 +226,9 @@ def test_criterion_2_closed_form_oracles(capfd):
         # additive-noise schedule: empirical std within 5% of each sigma
         wide = WindowedDataset(np.random.default_rng(4).normal(size=(30, 6, 100)),
                                np.zeros((30, 1)), desc)
-        nspec = AugmentationSpec("noise")
-        noisy_ds = augment_noise(wide, nspec, np.random.default_rng(5))
-        for i, (sa, sg) in enumerate(nspec.noise_schedule):
+        nspec = NoiseAugment()
+        noisy_ds = apply_augmentation(wide, nspec, np.random.default_rng(5))
+        for i, (sa, sg) in enumerate(nspec.schedule):
             diff = noisy_ds.windows[30 * (i + 1): 30 * (i + 2)] - wide.windows
             assert abs(diff[:, :3].std() - sa) < 0.05 * sa
             assert abs(diff[:, 3:].std() - sg) < 0.05 * sg
@@ -415,15 +413,14 @@ def test_criterion_5_technique_semantics(capfd):
 
         # single-rotation augmentation doubles the training set and leaves
         # the test split untouched
-        rot = TechniqueSpec("augment", augment=AugmentationSpec(
-            "rotation", rotation_axes=("T1",)))
+        rot = TechniqueSpec("augment", augment=RotationAugment(("T1",)))
         rot_train, rot_test, _ = _bench_run(rot, seed)
         assert len(rot_train) == 2 * len(base_train)
         np.testing.assert_array_equal(rot_test.windows, base_test.windows)
         np.testing.assert_array_equal(rot_test.labels, base_test.labels)
 
         # the stock three-level noise schedule quadruples the training set
-        noise = TechniqueSpec("augment", augment=AugmentationSpec("noise"))
+        noise = TechniqueSpec("augment", augment=NoiseAugment())
         noise_train, noise_test, _ = _bench_run(noise, seed)
         assert len(noise_train) == 4 * len(base_train)
         np.testing.assert_array_equal(noise_test.windows, base_test.windows)

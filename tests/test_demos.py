@@ -1,4 +1,8 @@
-"""Every script under demos/ and the README's quickstart run against the current API."""
+"""Every script under demos/ and the README's quickstart run against the current API.
+
+They run with ``python -W error``: pyproject's ``filterwarnings`` covers only
+the pytest process, so a warning in a subprocess would otherwise pass.
+"""
 
 import os
 import re
@@ -19,7 +23,7 @@ def test_demo_runs(script, tmp_path):
     demos = tmp_path / "demos"
     shutil.copytree(ROOT / "demos", demos)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demos / script)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demos / script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -30,6 +34,6 @@ def test_readme_quickstart_runs():
     assert block and "TrainConfig(epochs=30)" in block[1]
     code = block[1].replace("TrainConfig(epochs=30)", "TrainConfig(epochs=1)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from inertiabench.augmentation import AugmentationSpec
+from inertiabench.augmentation import NoiseAugment, RotationAugment
 from inertiabench.data import (
     DatasetDescriptor,
     InertialSeries,
@@ -49,6 +49,7 @@ from inertiabench.runner import (
     SuiteConfig,
     SyntheticSegment,
     TechniqueSpec,
+    _keys,
     _parse_technique,
     emit_outputs,
     load_recordings,
@@ -97,8 +98,7 @@ class TestRunExperiment:
 
     def test_rotation_doubles_training_set_only(self):
         base_train, base_test, _ = prepare_run(tiny_suite(), BASELINE, 3)
-        aug = TechniqueSpec("augment",
-                            augment=AugmentationSpec("rotation", rotation_axes=("T1",)))
+        aug = TechniqueSpec("augment", augment=RotationAugment(("T1",)))
         aug_train, aug_test, _ = prepare_run(tiny_suite(), aug, 3)
         assert len(aug_train) == 2 * len(base_train)
         np.testing.assert_array_equal(aug_test.windows, base_test.windows)
@@ -467,9 +467,9 @@ class TestConfigParsing:
         suite = parse_suite_config(json.loads(json.dumps(CONFIG_DOC)))
         assert suite.repetitions == 2
         assert suite.techniques[1].loss == LossSpec("huber", 2.0)
-        assert suite.techniques[2].augment.rotation_axes == ("T1", "T3")
-        assert suite.techniques[3].augment.bias_copies == 3
-        assert suite.techniques[4].augment.noise_schedule == ((0.1, 0.001),)
+        assert suite.techniques[2].augment.axes == ("T1", "T3")
+        assert suite.techniques[3].augment.copies == 3
+        assert suite.techniques[4].augment.schedule == ((0.1, 0.001),)
         steps = suite.techniques[5].preprocess.steps
         assert isinstance(steps[0], DenoiseStep) and steps[0].window == 5
         assert isinstance(steps[1], DetrendStep)
@@ -515,10 +515,14 @@ class TestConfigParsing:
         ({"kind": "loss"}, "technique 'loss' takes exactly its own inner spec, got loss=None"),
         ({"kind": "baseline", "loss": LossSpec()},
          "technique 'baseline' takes exactly its own inner spec, got loss="),
-        ({"kind": "augment", "augment": AugmentationSpec("noise"),
+        ({"kind": "augment", "augment": NoiseAugment(),
           "preprocess": PreprocSpec((DetrendStep(),))},
          "technique 'augment' takes exactly its own inner spec, got preprocess="),
         ({"kind": "baseline", "label": ""}, "technique name must not be empty"),
+        ({"kind": "loss", "loss": RotationAugment()},
+         "technique 'loss' takes exactly its own inner spec, got loss=RotationAugment("),
+        ({"kind": "preprocess", "preprocess": LossSpec()},
+         "technique 'preprocess' takes exactly its own inner spec, got preprocess=LossSpec("),
     ])
     def test_technique_spec_takes_its_own_inner_spec_only(self, kwargs, match):
         with pytest.raises(ConfigError, match=re.escape(match)):
@@ -747,9 +751,8 @@ def _scalar_fields():
               ("suite", SuiteConfig, own(SuiteConfig)),
               ("technique", TechniqueSpec, [("name", "label")]),
               ("loss", LossSpec, LOSS_KEYS.items())]
-    places += [(f"augment:{kind}", cls, keys.items())
-               for kind, (cls, keys, _) in AUGMENT_KINDS.items()]
-    places += [(f"step:{op}", cls, keys.items()) for op, (cls, keys, _) in STEP_OPS.items()]
+    places += [(f"augment:{kind}", cls, _keys(cls).items()) for kind, cls in AUGMENT_KINDS.items()]
+    places += [(f"step:{op}", cls, _keys(cls).items()) for op, cls in STEP_OPS.items()]
     for where, cls, keys in places:
         types = get_type_hints(cls)
         for key, name in keys:
