@@ -95,6 +95,16 @@ class TestRotationAugment:
         out = apply_augmentation(ds, RotationAugment(("T1", "T2", "T3")), None)
         assert len(out) == 4 * len(ds)
 
+    def test_labels_bit_equal(self):
+        ds = make_dataset()
+        out = apply_augmentation(ds, RotationAugment(("T2",)), None)
+        np.testing.assert_array_equal(out.labels[len(ds):], ds.labels)
+
+    def test_prefix_is_original(self):
+        ds = make_dataset()
+        out = apply_augmentation(ds, RotationAugment(("T1",)), None)
+        np.testing.assert_array_equal(out.windows[: len(ds)], ds.windows)
+
 
 class TestBiasAugment:
     def test_one_copy_doubles(self):
