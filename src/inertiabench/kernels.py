@@ -1,10 +1,12 @@
 """Differentiable numeric building blocks with hand-derived backward passes.
 
 Layers operate on batched float64 arrays shaped ``(batch, channels, steps)``
-or ``(batch, features)``.  Each layer caches whatever its backward pass needs
-during ``forward``; each ``backward`` sets ``grads`` to the gradients of
-that call alone (nothing accumulates across calls).  All randomness comes
-from explicitly passed ``numpy.random.Generator`` instances.
+or ``(batch, features)``, in any memory layout; ``Conv1d`` returns a
+channel-major view, which ``MaxPool1d`` pools across an outer axis.  Each
+layer caches whatever its backward pass needs during ``forward``; each
+``backward`` sets ``grads`` to the gradients of that call alone (nothing
+accumulates across calls).  All randomness comes from explicitly passed
+``numpy.random.Generator`` instances.
 """
 
 from __future__ import annotations
@@ -137,9 +139,14 @@ def _init_uniform(rng, shape, fan_in):
 class Conv1d(Layer):
     """1D convolution over (batch, channels, steps), valid padding.
 
-    The forward pass is im2col + GEMM; the backward pass is one batched GEMM
-    per kernel tap ``i`` against the strided view ``x[:, :, i::stride]``.
-    Only the input is cached: no K-fold copy of it outlives a call.
+    The output is stored channel-major: ``forward`` fills one
+    ``(filters, steps, batch)`` buffer and returns its ``(batch, filters,
+    steps)`` view.  Per chunk of output steps it builds the columns
+    ``(channels * kernel, steps * batch)`` straight from ``x`` and runs one
+    GEMM into that chunk's slice; ``backward`` rebuilds the same columns for
+    one weight GEMM per chunk.  A chunk's columns are no larger than the
+    output, and only the input is cached.  ``x`` and ``gout`` may have any
+    memory layout.
     """
 
     def __init__(self, spec: ConvSpec, rng: np.random.Generator | None = None):
@@ -149,45 +156,53 @@ class Conv1d(Layer):
                                          spec.in_channels * spec.kernel)
         self.params["b"] = np.zeros(spec.filters)
 
-    def _taps(self, x, t_out):
-        """Per-tap strided views ``x[:, :, i::stride]`` of ``t_out`` steps each."""
-        s = self.spec.stride
-        return [x[:, :, i : i + s * (t_out - 1) + 1 : s] for i in range(self.spec.kernel)]
+    def _chunks(self, x, t_out):
+        """(lo, hi, columns) per chunk of output steps; columns are (c * K, steps * B)."""
+        b, c, _ = x.shape
+        f, k, s = self.spec.filters, self.spec.kernel, self.spec.stride
+        steps = min(t_out, max(1, t_out * f // (c * k)))
+        buf = np.empty((c, k, steps, b))
+        for lo in range(0, t_out, steps):
+            hi = min(lo + steps, t_out)
+            cols = buf[:, :, : hi - lo]
+            for i in range(k):
+                cols[:, i] = x[:, :, lo * s + i : (hi - 1) * s + i + 1 : s].transpose(1, 2, 0)
+            yield lo, hi, cols.reshape(c * k, (hi - lo) * b)
 
     def forward(self, x):
         expect_shape(x, "B", self.spec.in_channels, "T")
         if not np.all(np.isfinite(x)):
             raise NumericError("conv input contains non-finite values")
         t_out = self.spec.out_steps(x.shape[2])
-        b, c, _ = x.shape
-        f, k = self.spec.filters, self.spec.kernel
-        w = self.params["w"].reshape(f, c * k)
-        out = np.empty((b, f, t_out))
-        # im2col + GEMM over batch chunks, reusing one column buffer that is
-        # no larger than the output and is freed when the call returns
-        rows = min(b, max(1, b * f // (c * k)))
-        cols = np.empty((rows, c, k, t_out))
-        for lo in range(0, b, rows):
-            xb, cb = x[lo : lo + rows], cols[: b - lo]
-            for i, xi in enumerate(self._taps(xb, t_out)):
-                cb[:, :, i] = xi
-            np.matmul(w, cb.reshape(len(xb), c * k, t_out), out=out[lo : lo + rows])
-        out += self.params["b"][None, :, None]
+        b, f = x.shape[0], self.spec.filters
+        w = self.params["w"].reshape(f, -1)
+        out = np.empty((f, t_out, b))
+        for lo, hi, cols in self._chunks(x, t_out):
+            np.matmul(w, cols, out=out[:, lo:hi].reshape(f, (hi - lo) * b))
+        out += self.params["b"][:, None, None]
         self._cache = x
-        return out
+        return out.transpose(2, 0, 1)
 
-    def backward(self, gout):
+    def backward(self, gout, input_grad=True):
+        """Set ``grads``; return the input gradient, or None unless ``input_grad``."""
         x = self._cached()
+        b, c, t = x.shape
+        f, k, s = self.spec.filters, self.spec.kernel, self.spec.stride
         t_out = gout.shape[2]
-        w = self.params["w"]
-        gw = np.empty_like(w)
-        gx = np.zeros(x.shape)
-        for i, (xi, gxi) in enumerate(zip(self._taps(x, t_out), self._taps(gx, t_out))):
-            gw[:, :, i] = np.matmul(gout, xi.transpose(0, 2, 1)).sum(axis=0)
-            gxi += w[:, :, i].T @ gout
-        self.grads["w"] = gw
-        self.grads["b"] = gout.sum(axis=(0, 2))
-        return gx
+        g = np.ascontiguousarray(gout.transpose(1, 2, 0))  # (F, T', B)
+        w = self.params["w"].reshape(f, -1)
+        gw = np.zeros((f, c * k))
+        gx = np.zeros((c, t, b)) if input_grad else None
+        for lo, hi, cols in self._chunks(x, t_out):
+            gc = g[:, lo:hi].reshape(f, (hi - lo) * b)
+            gw += gc @ cols.T
+            if input_grad:
+                gcols = (w.T @ gc).reshape(c, k, hi - lo, b)
+                for i in range(k):
+                    gx[:, lo * s + i : (hi - 1) * s + i + 1 : s] += gcols[:, i]
+        self.grads["w"] = gw.reshape(f, c, k)
+        self.grads["b"] = g.sum(axis=(1, 2))
+        return None if gx is None else gx.transpose(2, 0, 1)
 
 
 class ReLU(Layer):
@@ -200,7 +215,13 @@ class ReLU(Layer):
 
 
 class MaxPool1d(Layer):
-    """Non-overlapping max pooling; trailing partial window dropped."""
+    """Non-overlapping max pooling; trailing partial window dropped.
+
+    Each window's max is taken across its depth slices, elementwise, so a
+    channel-major input (the layout ``Conv1d`` returns) pools across an
+    outer axis; ``backward`` scatters into a channel-major buffer.  ``x``
+    and ``gout`` may have any memory layout.
+    """
 
     def __init__(self, depth: int):
         super().__init__()
@@ -208,28 +229,36 @@ class MaxPool1d(Layer):
             raise ShapeError(f"pool depth must be >= 1, got {depth}")
         self.depth = depth
 
+    def _windows(self, x):
+        """``x``'s full windows as a (B, C, T', depth) view.
+
+        Splitting only the last axis keeps it a view in any layout, so
+        writes into it reach ``x``.
+        """
+        b, c, t = x.shape
+        return x[:, :, : t // self.depth * self.depth].reshape(b, c, -1, self.depth)
+
     def forward(self, x):
         expect_shape(x, "B", "C", "T")
         d = self.depth
-        b, c, t = x.shape
-        if d > t:
-            raise ShapeError(f"pool depth {d} exceeds {t} steps")
-        t_out = t // d
-        xr = x[:, :, : t_out * d].reshape(b, c, t_out, d)
-        idx = xr.argmax(axis=3)
-        out = np.take_along_axis(xr, idx[..., None], axis=3)[..., 0]
+        if d > x.shape[2]:
+            raise ShapeError(f"pool depth {d} exceeds {x.shape[2]} steps")
+        xr = self._windows(x)
+        out = xr.max(axis=3)
+        # the first index holding the max, as argmax gives it: the count of
+        # depth slices before the first one equal to the max
+        idx = np.zeros_like(out, dtype=np.min_scalar_type(d - 1))
+        found = xr[..., 0] == out
+        for r in range(1, d):
+            idx += ~found
+            found |= xr[..., r] == out
         self._cache = (x.shape, idx)
         return out
 
     def backward(self, gout):
-        in_shape, idx = self._cached()
-        b, c, t = in_shape
-        d = self.depth
-        t_out = idx.shape[2]
-        gx = np.zeros(in_shape)
-        # splitting only the last axis keeps the reshape a view of gx
-        gxr = gx[:, :, : t_out * d].reshape(b, c, t_out, d)
-        np.put_along_axis(gxr, idx[..., None], gout[..., None], axis=3)
+        (b, c, t), idx = self._cached()
+        gx = np.zeros((c, t, b)).transpose(2, 0, 1)
+        np.put_along_axis(self._windows(gx), idx[..., None], gout[..., None], axis=3)
         return gx
 
 
@@ -341,7 +370,8 @@ class BiLSTM(Layer):
         gx = np.matmul(dz[0], w[0, :, 1 : 1 + c]).reshape(t, b, c)
         gx += np.matmul(dz[1], w[1, :, 1 : 1 + c]).reshape(t, b, c)[::-1]
         del gates, dz
-        return np.ascontiguousarray(gx.transpose(1, 2, 0))
+        # stored channel-major, (C, T, B), like the conv trunk it flows into
+        return np.ascontiguousarray(gx.transpose(2, 0, 1)).transpose(2, 0, 1)
 
 
 class Dropout(Layer):

@@ -113,8 +113,9 @@ class InertialRegressor:
         ghs[:, :hidden, -1] = g[:, :hidden]
         ghs[:, hidden:, 0] = g[:, hidden:]
         gparts = np.split(self.lstm.backward(ghs), len(self.branches), axis=1)
+        # the network input is data, so no conv computes its input gradient
         for (_, conv, pool, act), gpart in zip(self.branches, gparts):
-            conv.backward(pool.backward(act.backward(gpart)))
+            conv.backward(pool.backward(act.backward(gpart)), input_grad=False)
 
     def predict(self, windows) -> np.ndarray:
         """Deterministic eval-mode prediction, (batch, output_dim).

@@ -19,8 +19,7 @@ import os
 import sys
 import warnings
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -458,8 +457,13 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
         recordings = load_recordings(suite.dataset)
     # each job of a worker process carries its own pickled copy
     jobs = [(suite, tech, seed, recordings) for tech, seed in runs]
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = list((pool.map if pool else map)(_run_job, jobs))
+    if workers > 1:
+        # imported here: a one-worker run then never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_run_job, jobs))
+    else:
+        results = list(map(_run_job, jobs))
 
     reports = []
     for i, tech in enumerate(suite.techniques):

@@ -535,3 +535,14 @@ class TestOneLineErrors:
         assert done.stderr.startswith("error: cannot read report ")
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported only for a multi-worker suite, so a
+        # one-worker invocation never loads multiprocessing and its sockets
+        src = os.path.dirname(os.path.dirname(inertiabench.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", "import sys, inertiabench.cli; "
+                               "print('concurrent.futures' in sys.modules)"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0 and done.stdout == "False\n"

@@ -16,6 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from inertiabench.errors import UsageError
 from inertiabench.kernels import BiLSTM, Conv1d, ConvSpec
 
+from test_kernels import channel_major
+
 ATOL = 1e-10
 
 
@@ -215,13 +217,63 @@ def test_bilstm_backward_consumes_its_cache():
 
 @pytest.mark.parametrize("filters,kernel", [(8, 5), (64, 5), (2, 7)])
 def test_conv_forward_buffer_never_outgrows_output(filters, kernel):
-    # the im2col buffer is built in batch chunks no larger than the output,
-    # so a forward pass needs at most about twice the output's memory
+    # the im2col buffer is built in chunks of output steps no larger than the
+    # output, so a forward pass needs at most about twice the output's memory
     rng = np.random.default_rng(10)
     layer = Conv1d(ConvSpec(6, filters, kernel), rng)
     x = rng.normal(size=(64, 6, 200))
     out_bytes = 64 * filters * (200 - kernel + 1) * 8
     assert traced_peak(layer.forward, x) <= 2 * out_bytes + 64 * 1024
+
+
+@pytest.mark.parametrize("filters,kernel", [(8, 5), (64, 5), (2, 7)])
+def test_conv_weight_gradient_buffer_never_outgrows_output(filters, kernel):
+    # the model's backward: a C-contiguous gradient is copied channel-major
+    # once, and each chunk's columns are no larger than the output
+    rng = np.random.default_rng(12)
+    layer = Conv1d(ConvSpec(6, filters, kernel), rng)
+    layer.forward(rng.normal(size=(64, 6, 200)))
+    gout = rng.normal(size=(64, filters, 200 - kernel + 1))
+    assert traced_peak(lambda: layer.backward(gout, input_grad=False)) <= 2 * gout.nbytes + 64 * 1024
+
+
+@pytest.mark.parametrize("channels,filters,kernel,stride", [
+    (3, 4, 3, 1),
+    (3, 4, 3, 2),
+    (6, 2, 5, 1),   # more input taps than filters: several column chunks
+])
+def test_conv_backward_without_input_gradient(channels, filters, kernel, stride):
+    rng = np.random.default_rng(13)
+    layer = Conv1d(ConvSpec(channels, filters, kernel, stride), rng)
+    x = rng.normal(size=(5, channels, 40))
+    gout = rng.normal(size=(5, filters, (40 - kernel) // stride + 1))
+    _, full, _ = run_layer(layer, x, gout)
+    full = dict(full)
+    assert layer.backward(gout, input_grad=False) is None
+    assert sorted(layer.grads) == sorted(full)
+    for name, g in full.items():
+        assert np.array_equal(layer.grads[name], g), name
+
+
+@pytest.mark.parametrize("channels,filters,kernel,stride", [
+    (6, 64, 5, 1),
+    (2, 3, 4, 3),
+    (6, 2, 5, 1),
+])
+def test_conv_gives_the_same_bits_in_any_layout(channels, filters, kernel, stride):
+    rng = np.random.default_rng(14)
+    layer = Conv1d(ConvSpec(channels, filters, kernel, stride), rng)
+    layer.params["b"] = rng.normal(size=filters)
+    x = rng.normal(size=(4, channels, 30))
+    gout = rng.normal(size=(4, filters, (30 - kernel) // stride + 1))
+    out, grads, gx = run_layer(layer, x, gout)
+    grads = dict(grads)
+    for xl in (x, channel_major(x)):
+        for gl in (gout, channel_major(gout)):
+            got = run_layer(layer, xl, gl)
+            assert np.array_equal(got[0], out) and np.array_equal(got[2], gx)
+            for name, g in grads.items():
+                assert np.array_equal(got[1][name], g), name
 
 
 @pytest.mark.parametrize("inputs,steps", [(64, 38), (192, 19)])  # stock; head3 at window 480

@@ -26,6 +26,11 @@ from inertiabench.kernels import (
 )
 
 
+def channel_major(a):
+    """``a`` as the (B, C, T) view of a (C, T, B) buffer: the layout Conv1d returns."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
 class TestConv1d:
     def test_hand_convolution_k2(self):
         # y(t) = sum_i w_i x(t+i-1): [1*1 + (-1)*2, 1*2 + (-1)*3] = [-1, -1]
@@ -135,6 +140,25 @@ class TestMaxPool:
             )
             np.testing.assert_array_equal(out, expected)
             assert np.all(out >= x[:, : (steps // d) * d].reshape(2, -1, d).max(axis=2) - 1e-15)
+
+    @pytest.mark.parametrize("depth", [3, 10, 24])
+    def test_first_max_wins_in_any_layout(self, depth):
+        rng = np.random.default_rng(depth)
+        # small integers tie inside windows; a trailing partial window is dropped
+        x = rng.integers(-3, 3, size=(5, 4, 6 * depth + depth - 1)).astype(float)
+        gout = rng.normal(size=(5, 4, 6))
+        windows = x[..., : 6 * depth].reshape(5, 4, 6, depth)
+        first = windows.argmax(axis=3)[..., None]
+        assert np.any((windows == np.take_along_axis(windows, first, axis=3)).sum(axis=3) > 1)
+        want_gx = np.zeros(x.shape)
+        np.put_along_axis(want_gx[..., : 6 * depth].reshape(windows.shape), first,
+                          gout[..., None], axis=3)
+        for xl in (x, channel_major(x)):
+            for gl in (gout, channel_major(gout)):
+                layer = MaxPool1d(depth)
+                out = layer.forward(xl)
+                assert np.array_equal(out, np.take_along_axis(windows, first, axis=3)[..., 0])
+                assert np.array_equal(layer.backward(gl), want_gx)
 
 
 class TestPoolThenRelu:
