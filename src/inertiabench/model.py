@@ -27,6 +27,9 @@ _GROUPS = {
     "head3": ([0, 3], [1, 4], [2, 5]),
 }
 HEAD_MODES = tuple(_GROUPS)
+# windows per forward in ``predict``; fixed, because the chunk size can move the
+# last bits of a prediction (chunks of 7 differed from one forward by 6e-17)
+PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,15 @@ class InertialRegressor:
     def predict(self, windows) -> np.ndarray:
         """Deterministic eval-mode prediction, (batch, output_dim).
 
-        Every layer's backward cache is dropped before returning, so no
-        batch-sized array outlives the call and ``backward`` raises UsageError.
+        Windows run through ``forward`` in chunks of ``PREDICT_CHUNK``, each
+        chunk's forward replacing the previous chunk's caches, so the peak
+        memory is that of one chunk whatever the batch.  Every layer's
+        backward cache is dropped before returning, so no batch-sized array
+        outlives the call and ``backward`` raises UsageError.
         """
-        out = self.forward(windows, train=False)
+        windows = np.asarray(windows, dtype=float)
+        out = np.concatenate([self.forward(windows[start:start + PREDICT_CHUNK])
+                              for start in range(0, len(windows), PREDICT_CHUNK)])
         for _, layer in self._layers():
             layer._cache = None
         return out

@@ -12,6 +12,7 @@ share a model configuration start from identical initial weights.
 from __future__ import annotations
 
 import csv
+import ctypes
 import html
 import io
 import json
@@ -417,7 +418,35 @@ def evaluate_model(model, test_ds: WindowedDataset) -> float:
     return rmse
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def keep_freed_heap() -> None:
+    """Keep freed heap memory mapped in this process, for the next training step.
+
+    By default glibc serves arrays above a dynamic threshold with ``mmap`` and
+    returns a freed heap top to the kernel, so every training step faults its
+    scratch arrays in afresh.  Here arrays below 32 MiB always come from the
+    heap and the heap is trimmed only above 1 GiB free, so each step reuses
+    the previous step's pages; no arithmetic changes.  The trim threshold is
+    set only once the mmap threshold is accepted: alone, it would also pin the
+    mmap threshold at its 128 KiB default.  Without glibc's ``mallopt``
+    (macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # 32 MiB is the highest value glibc's own dynamic mmap threshold reaches
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _run_job(job) -> float | StageError:
+    # here, not in run_suite, so that every worker runs it whatever the start method
+    keep_freed_heap()
     try:
         return run_experiment(*job)
     except StageError as exc:
@@ -428,7 +457,7 @@ def worker_count(n_jobs: int) -> int:
     """Worker processes for ``n_jobs`` jobs, from INERTIA_BENCH_WORKERS.
 
     The variable defaults to 1 and must be an integer >= 1; the result is
-    clamped to the CPU count and to the number of jobs.
+    clamped to the CPUs this process may run on and to the number of jobs.
     """
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -437,7 +466,11 @@ def worker_count(n_jobs: int) -> int:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if requested < 1:
         raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {requested}")
-    return min(requested, os.cpu_count() or 1, n_jobs)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no sched_getaffinity on macOS or Windows
+        cpus = os.cpu_count() or 1
+    return min(requested, cpus, n_jobs)
 
 
 def run_suite(suite: SuiteConfig) -> list[BenchReport]:

@@ -11,6 +11,7 @@ from inertiabench.kernels import Adam
 from inertiabench.losses import LossSpec, compute_loss
 from inertiabench.model import (
     HEAD_MODES,
+    PREDICT_CHUNK,
     InertialRegressor,
     ModelConfig,
     TrainConfig,
@@ -167,6 +168,30 @@ class TestPredict:
         small, large = held_after_predict(4), held_after_predict(400)
         # at 400 windows the backward caches would hold more than 3 MB
         assert large - small < 1024
+
+    def test_predict_peak_memory_does_not_grow_with_the_batch(self):
+        model = InertialRegressor(SMALL, rng(31))
+
+        def peak(n):
+            x = rng(32).normal(size=(n, 6, 20))
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(PREDICT_CHUNK)  # first-call allocations
+        one_chunk, many = peak(PREDICT_CHUNK), peak(1000)
+        # one forward over all 1,000 windows would peak at about 15 times one chunk's
+        assert many - one_chunk < one_chunk / 2
+
+    def test_predict_equals_one_forward_per_chunk(self):
+        model = InertialRegressor(SMALL, rng(33))
+        x = rng(34).normal(size=(2 * PREDICT_CHUNK + 5, 6, 20))
+        chunks = [x[:PREDICT_CHUNK], x[PREDICT_CHUNK:2 * PREDICT_CHUNK], x[2 * PREDICT_CHUNK:]]
+        expected = np.concatenate([model.forward(chunk) for chunk in chunks])
+        np.testing.assert_array_equal(model.predict(x), expected)
 
 
 class TestTraining:

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
 import pickle
+import platform
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -11,6 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
+import inertiabench
 from inertiabench.augmentation import NoiseAugment, RotationAugment
 from inertiabench.data import (
     DatasetDescriptor,
@@ -52,6 +57,7 @@ from inertiabench.runner import (
     _keys,
     _parse_technique,
     emit_outputs,
+    keep_freed_heap,
     load_recordings,
     load_suite_config,
     parse_suite_config,
@@ -273,6 +279,7 @@ class TestRunSuite:
         assert [len(r.rmse_runs) for r in reports] == [2, 2, 2, 2]
 
     def test_json_identical_for_one_and_two_workers(self, suite, tmp_path, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         # a window longer than the recording fails every run of the second
         # technique in the preprocess stage; its StageError crosses processes
@@ -369,12 +376,56 @@ class TestWorkerCount:
 
     def test_clamped_to_cpus_and_jobs(self, monkeypatch):
         # only the parser runs here: no worker process is started
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         monkeypatch.setenv(WORKERS_ENV, str(10**12))
         assert worker_count(100) == 4
         assert worker_count(3) == 3
         monkeypatch.setenv(WORKERS_ENV, "2")
         assert worker_count(100) == 2
+
+    def test_clamped_to_the_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU of four gets one worker
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        assert worker_count(10) == 1
+
+
+class TestKeepFreedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_freed_arrays_are_reused_without_page_faults(self):
+        # a fresh interpreter: the policy is process-wide and cannot be undone
+        code = """
+import resource
+import numpy as np
+from inertiabench.runner import keep_freed_heap
+keep_freed_heap()
+def touch():
+    arrays = [np.ones(1 << 17) for _ in range(64)]  # 64 arrays of 1 MiB
+    del arrays
+touch()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+touch()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = os.path.dirname(os.path.dirname(inertiabench.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # glibc's defaults fault all 16,384 pages of the second round in again
+        assert int(done.stdout) < 1000
+
+    def test_returns_quietly_without_mallopt(self, monkeypatch):
+        def no_library(name):
+            raise OSError(f"cannot load {name}")
+
+        # no C library to load (Windows), and one without mallopt (macOS)
+        for cdll in (no_library, lambda name: object()):
+            monkeypatch.setattr("ctypes.CDLL", cdll)
+            keep_freed_heap()
 
 
 class TestEmitOutputs:
