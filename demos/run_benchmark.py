@@ -39,12 +39,10 @@ def main():
         techniques=(
             TechniqueSpec("baseline"),
             TechniqueSpec("head2"),
-            TechniqueSpec("loss", loss=LossSpec("huber")),
-            TechniqueSpec("augment", augment=RotationAugment()),
-            TechniqueSpec("preprocess",
-                          preprocess=PreprocSpec((DenoiseStep(5),))),
-            TechniqueSpec("preprocess",
-                          preprocess=PreprocSpec((NormalizeStep("zscore"),))),
+            TechniqueSpec("loss", LossSpec("huber")),
+            TechniqueSpec("augment", RotationAugment()),
+            TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(5),))),
+            TechniqueSpec("preprocess", PreprocSpec((NormalizeStep("zscore"),))),
         ),
         model=ModelConfig(conv_filters=8, kernel_size=5, pool_depth=3,
                           lstm_hidden=8, fc_width=16),

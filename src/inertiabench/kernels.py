@@ -233,10 +233,11 @@ class MaxPool1d(Layer):
         """``x``'s full windows as a (B, C, T', depth) view.
 
         Splitting only the last axis keeps it a view in any layout, so
-        writes into it reach ``x``.
+        writes into it reach ``x``.  T' is given, not -1, because numpy
+        cannot infer it for an empty batch.
         """
         b, c, t = x.shape
-        return x[:, :, : t // self.depth * self.depth].reshape(b, c, -1, self.depth)
+        return x[:, :, : t // self.depth * self.depth].reshape(b, c, t // self.depth, self.depth)
 
     def forward(self, x):
         expect_shape(x, "B", "C", "T")

@@ -11,7 +11,7 @@ internally, so all head modes accept the same (batch, 6, window) tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,13 +125,14 @@ class InertialRegressor:
 
         Windows run through ``forward`` in chunks of ``PREDICT_CHUNK``, each
         chunk's forward replacing the previous chunk's caches, so the peak
-        memory is that of one chunk whatever the batch.  Every layer's
-        backward cache is dropped before returning, so no batch-sized array
-        outlives the call and ``backward`` raises UsageError.
+        memory is that of one chunk whatever the batch; zero windows run as
+        one empty chunk.  Every layer's backward cache is dropped before
+        returning, so no batch-sized array outlives the call and ``backward``
+        raises UsageError.
         """
         windows = np.asarray(windows, dtype=float)
         out = np.concatenate([self.forward(windows[start:start + PREDICT_CHUNK])
-                              for start in range(0, len(windows), PREDICT_CHUNK)])
+                              for start in range(0, max(len(windows), 1), PREDICT_CHUNK)])
         for _, layer in self._layers():
             layer._cache = None
         return out
@@ -142,7 +143,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 0.001
-    loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or not 0 < self.learning_rate < np.inf:
@@ -150,9 +150,9 @@ class TrainConfig:
 
 
 def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels, *,
-                shuffle_rng: np.random.Generator,
-                dropout_rng: np.random.Generator) -> list[float]:
-    """Mini-batch Adam training; returns the per-epoch mean loss curve.
+                shuffle_rng: np.random.Generator, dropout_rng: np.random.Generator,
+                loss: LossSpec = LossSpec()) -> list[float]:
+    """Mini-batch Adam training on ``loss``; returns the per-epoch mean loss curve.
 
     Raises NumericError and aborts if the loss goes non-finite.
     """
@@ -171,7 +171,7 @@ def train_model(model: InertialRegressor, tc: TrainConfig, windows, labels, *,
         for start in range(0, n, tc.batch_size):
             idx = order[start : start + tc.batch_size]
             pred = model.forward(windows[idx], train=True, rng=dropout_rng)
-            value, grad = compute_loss(tc.loss, labels[idx], pred)
+            value, grad = compute_loss(loss, labels[idx], pred)
             if not np.isfinite(value):
                 raise NumericError(f"training loss became non-finite ({value})")
             model.backward(grad)

@@ -161,14 +161,12 @@ TECHNIQUE_KINDS = {
 class TechniqueSpec:
     """Exactly one technique: the baseline or a single enhancement.
 
-    A technique with an inner spec keeps it in the field named after its
-    kind (``loss``, ``augment`` or ``preprocess``).
+    ``spec`` is the technique's inner spec, one of its kind's types in
+    ``TECHNIQUE_KINDS``, or None for a kind without one.
     """
 
     kind: str
-    loss: LossSpec | None = None
-    augment: RotationAugment | BiasAugment | NoiseAugment | None = None
-    preprocess: PreprocSpec | None = None
+    spec: LossSpec | RotationAugment | BiasAugment | NoiseAugment | PreprocSpec | None = None
     label: str | None = None
 
     def __post_init__(self):
@@ -176,21 +174,17 @@ class TechniqueSpec:
             raise ConfigError(f"unknown technique kind '{self.kind}'")
         if self.label == "":
             raise ConfigError("technique name must not be empty")
-        for inner, (types, *_) in ((k, v) for k, v in TECHNIQUE_KINDS.items() if v is not None):
-            spec = getattr(self, inner)  # one of its types for its own kind, else None
-            if (spec is None) == (inner == self.kind) or not isinstance(spec, (types, type(None))):
-                raise ConfigError(f"technique '{self.kind}' takes exactly its own "
-                                  f"inner spec, got {inner}={spec!r}")
+        inner = TECHNIQUE_KINDS[self.kind]
+        if not isinstance(self.spec, inner[0] if inner else type(None)):
+            raise ConfigError(f"technique '{self.kind}' takes {'its own' if inner else 'no'} "
+                              f"inner spec, got {self.spec!r}")
 
     @property
     def name(self) -> str:
         if self.label is not None:
             return self.label
         inner = TECHNIQUE_KINDS[self.kind]
-        if inner is None:
-            return self.kind
-        *_, name = inner
-        return f"{self.kind}-{name(getattr(self, self.kind))}"
+        return self.kind if inner is None else f"{self.kind}-{inner[3](self.spec)}"
 
     def to_dict(self) -> dict:
         """The technique's config entry."""
@@ -199,8 +193,7 @@ class TechniqueSpec:
             out["name"] = self.label
         inner = TECHNIQUE_KINDS[self.kind]
         if inner is not None:
-            _, _, write, _ = inner
-            out.update(write(getattr(self, self.kind)))
+            out.update(inner[2](self.spec))
         return out
 
 
@@ -226,10 +219,9 @@ class SuiteConfig:
         if window < m.kernel_size or conv.out_steps(window) < m.pool_depth:
             raise ConfigError(f"window size {window} is too short for conv kernel "
                               f"{m.kernel_size}, stride {m.stride} and pool depth {m.pool_depth}")
-        if (m.head_mode, self.train.loss) != ("single", LossSpec()):
-            raise ConfigError(f"head mode and loss come from techniques, so a suite's are the "
-                              f"baseline's 'single' and {LossSpec()}, got {m.head_mode!r} "
-                              f"and {self.train.loss}")
+        if m.head_mode != "single":
+            raise ConfigError(f"head mode comes from techniques, so a suite's is the "
+                              f"baseline's 'single', got {m.head_mode!r}")
         if not any(t.kind == "baseline" for t in self.techniques):
             raise ConfigError("suite needs a baseline technique")
         repeated = _repeated([t.name for t in self.techniques])
@@ -342,7 +334,7 @@ def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordi
             recordings = load_recordings(suite.dataset)
     _read_only(recordings)
 
-    steps = technique.preprocess.steps if technique.preprocess else ()
+    steps = technique.spec.steps if technique.kind == "preprocess" else ()
     detrend = any(isinstance(s, DetrendStep) for s in steps)
 
     with _stage("preprocess"):
@@ -373,7 +365,7 @@ def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordi
 
     if technique.kind == "augment":
         with _stage("augment"):
-            train_ds = apply_augmentation(train_ds, technique.augment, run_rng(seed, "augment"))
+            train_ds = apply_augmentation(train_ds, technique.spec, run_rng(seed, "augment"))
 
     model_config = replace(suite.model, output_dim=descriptor.label_dim)
     if technique.kind in HEAD_MODES:
@@ -385,13 +377,12 @@ def fit_model(suite: SuiteConfig, technique: TechniqueSpec, train_ds: WindowedDa
               model_config: ModelConfig, seed: int):
     """Build the seeded model and train it; returns (model, loss curve).
 
-    A ``loss`` technique replaces the suite's training loss with its own.
+    A ``loss`` technique trains with its own loss, every other technique
+    with MSE.
     """
-    tc = suite.train
-    if technique.kind == "loss":
-        tc = replace(tc, loss=technique.loss)
     model = InertialRegressor(model_config, run_rng(seed, "init"))
-    curve = train_model(model, tc, train_ds.windows, train_ds.labels,
+    curve = train_model(model, suite.train, train_ds.windows, train_ds.labels,
+                        loss=technique.spec if technique.kind == "loss" else LossSpec(),
                         shuffle_rng=run_rng(seed, "shuffle"),
                         dropout_rng=run_rng(seed, "dropout"))
     return model, curve
@@ -706,9 +697,8 @@ def _parse_technique(entry, context: str = "techniques[]") -> TechniqueSpec:
     inner = TECHNIQUE_KINDS[kind]
     if inner is None:
         _check(entry, (), (), context)
-        return _make(TechniqueSpec, context, kind=kind, label=label)
-    return _make(TechniqueSpec, context, kind=kind, label=label,
-                 **{kind: inner[1](entry, context)})
+    spec = None if inner is None else inner[1](entry, context)
+    return _make(TechniqueSpec, context, kind=kind, spec=spec, label=label)
 
 
 def parse_suite_config(doc: dict) -> SuiteConfig:
@@ -723,7 +713,7 @@ def parse_suite_config(doc: dict) -> SuiteConfig:
         techniques=techniques,
         model=_build(ModelConfig, doc.get("model", {}), "model",
                      _keys(ModelConfig, "output_dim", "head_mode")),
-        train=_build(TrainConfig, doc.get("train", {}), "train", _keys(TrainConfig, "loss")))
+        train=_build(TrainConfig, doc.get("train", {}), "train"))
 
 
 def _json_object(pairs: list) -> dict:
@@ -770,8 +760,9 @@ def save_checkpoint(path, model: InertialRegressor):
 def load_checkpoint(path) -> InertialRegressor:
     """Rebuild a saved model; the archive must hold exactly its parameters.
 
-    A missing, unexpected, differently shaped or non-finite parameter raises
-    UsageError rather than leaving an initial value in place or broadcasting.
+    A missing, unexpected, differently shaped, non-float or non-finite
+    parameter raises UsageError rather than leaving an initial value in
+    place or broadcasting.
     A file or ``__meta__`` entry that cannot be read raises ParseError, and a
     model config that the config reader rejects raises ConfigError.
     """
@@ -801,10 +792,16 @@ def load_checkpoint(path) -> InertialRegressor:
             raise UsageError(f"checkpoint parameters do not match the model: "
                              f"missing {missing}, unexpected {unexpected}")
         for name, param in params.items():
-            value = archive[f"param/{name}"]
+            try:
+                value = archive[f"param/{name}"]
+            except ValueError as exc:  # an object array, which only pickle reads
+                raise UsageError(f"checkpoint parameter '{name}' cannot be read: {exc}") from exc
             if value.shape != param.shape:
                 raise UsageError(f"checkpoint parameter '{name}' has shape {value.shape}, "
                                  f"expected {param.shape}")
+            if value.dtype.kind != "f":
+                raise UsageError(f"checkpoint parameter '{name}' has dtype {value.dtype}, "
+                                 f"expected a float dtype")
             if not np.all(np.isfinite(value)):
                 raise UsageError(f"checkpoint parameter '{name}' contains non-finite values")
             param[...] = value

@@ -413,14 +413,14 @@ def test_criterion_5_technique_semantics(capfd):
 
         # single-rotation augmentation doubles the training set and leaves
         # the test split untouched
-        rot = TechniqueSpec("augment", augment=RotationAugment(("T1",)))
+        rot = TechniqueSpec("augment", RotationAugment(("T1",)))
         rot_train, rot_test, _ = _bench_run(rot, seed)
         assert len(rot_train) == 2 * len(base_train)
         np.testing.assert_array_equal(rot_test.windows, base_test.windows)
         np.testing.assert_array_equal(rot_test.labels, base_test.labels)
 
         # the stock three-level noise schedule quadruples the training set
-        noise = TechniqueSpec("augment", augment=NoiseAugment())
+        noise = TechniqueSpec("augment", NoiseAugment())
         noise_train, noise_test, _ = _bench_run(noise, seed)
         assert len(noise_train) == 4 * len(base_train)
         np.testing.assert_array_equal(noise_test.windows, base_test.windows)
@@ -429,8 +429,7 @@ def test_criterion_5_technique_semantics(capfd):
         # rebuilding the pipeline with stats fitted on pooled training
         # portions reproduces both splits exactly, stats fitted on the
         # full recordings do not
-        zs = TechniqueSpec("preprocess",
-                           preprocess=PreprocSpec((NormalizeStep("zscore"),)))
+        zs = TechniqueSpec("preprocess", PreprocSpec((NormalizeStep("zscore"),)))
         zs_train, zs_test, _ = _bench_run(zs, seed)
         from inertiabench.runner import load_recordings
 
@@ -455,7 +454,7 @@ def test_criterion_5_technique_semantics(capfd):
 
         # paired seeding: every technique with the baseline architecture
         # starts from bit-identical parameters
-        huber = TechniqueSpec("loss", loss=LossSpec("huber"))
+        huber = TechniqueSpec("loss", LossSpec("huber"))
         _, _, huber_cfg = _bench_run(huber, seed)
         assert huber_cfg == base_cfg
         pa = InertialRegressor(base_cfg, run_rng(seed, "init")).parameters()

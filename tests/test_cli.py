@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,9 +217,9 @@ class TestTrainEval:
 
         def trained(loss):
             model = InertialRegressor(model_config, run_rng(2, "init"))
-            train_model(model, replace(suite.train, loss=loss), train_ds.windows,
-                        train_ds.labels, shuffle_rng=run_rng(2, "shuffle"),
-                        dropout_rng=run_rng(2, "dropout"))
+            train_model(model, suite.train, train_ds.windows, train_ds.labels,
+                        shuffle_rng=run_rng(2, "shuffle"), dropout_rng=run_rng(2, "dropout"),
+                        loss=loss)
             return model.parameters()
 
         huber = trained(LossSpec("huber", 0.05))
@@ -290,6 +289,7 @@ class TestOneLineErrors:
                                       "checkpoint-empty",
                                       "checkpoint-npy-array",
                                       "checkpoint-non-finite",
+                                      "checkpoint-string-parameter",
                                       "checkpoint-version-1",
                                       "checkpoint-fractional-conv-filters",
                                       "report-entry-rmse-runs-not-a-list",
@@ -367,7 +367,8 @@ class TestOneLineErrors:
             elif case == "checkpoint-unknown-config-key":
                 meta = json.dumps({"version": 2, "config": {"filters": 4}}).encode()
                 np.savez(ckpt, __meta__=np.frombuffer(meta, dtype=np.uint8))
-            elif case in ("checkpoint-version-1", "checkpoint-fractional-conv-filters"):
+            elif case in ("checkpoint-version-1", "checkpoint-fractional-conv-filters",
+                          "checkpoint-string-parameter"):
                 save_checkpoint(ckpt, InertialRegressor(load_suite_config(config_path).model,
                                                         run_rng(0, "init")))
                 with np.load(ckpt) as archive:
@@ -375,8 +376,10 @@ class TestOneLineErrors:
                 meta = json.loads(arrays["__meta__"].tobytes().decode())
                 if case == "checkpoint-version-1":  # it held the BiLSTM as six arrays
                     meta["version"] = 1
-                else:
+                elif case == "checkpoint-fractional-conv-filters":
                     meta["config"]["conv_filters"] = 4.0
+                else:  # np.isfinite raises TypeError on strings
+                    arrays["param/head.b"] = arrays["param/head.b"].astype("<U3")
                 arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
                 np.savez(ckpt, **arrays)
             elif case == "checkpoint-not-an-archive":
@@ -502,6 +505,9 @@ class TestOneLineErrors:
             assert "must be finite, got " in err
         if case == "checkpoint-version-1":
             assert err == "error: unsupported checkpoint version 1\n"
+        if case == "checkpoint-string-parameter":
+            assert err == ("error: checkpoint parameter 'head.b' has dtype <U3, "
+                           "expected a float dtype\n")
         if case == "checkpoint-fractional-conv-filters":
             assert err == (f"error: invalid model config of checkpoint {ckpt}: "
                            "conv_filters must be an integer, got 4.0\n")

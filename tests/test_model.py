@@ -186,6 +186,20 @@ class TestPredict:
         # one forward over all 1,000 windows would peak at about 15 times one chunk's
         assert many - one_chunk < one_chunk / 2
 
+    @pytest.mark.parametrize("mode", HEAD_MODES)
+    def test_zero_windows_give_zero_predictions(self, mode):
+        model = InertialRegressor(replace(SMALL, head_mode=mode, output_dim=2), rng(35))
+        empty = np.zeros((0, 6, 20))
+        assert model.forward(empty).shape == (0, 2)
+        assert model.predict(empty).shape == (0, 2)
+
+    @pytest.mark.parametrize("mode", HEAD_MODES)
+    @pytest.mark.parametrize("shape", [(0, 5, 20), (0, 6, 3)])
+    def test_wrong_shaped_empty_batch_rejected(self, mode, shape):
+        model = InertialRegressor(replace(SMALL, head_mode=mode), rng(36))
+        with pytest.raises(ShapeError):
+            model.predict(np.zeros(shape))
+
     def test_predict_equals_one_forward_per_chunk(self):
         model = InertialRegressor(SMALL, rng(33))
         x = rng(34).normal(size=(2 * PREDICT_CHUNK + 5, 6, 20))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import inertiabench
-from inertiabench.augmentation import NoiseAugment, RotationAugment
+from inertiabench.augmentation import RotationAugment
 from inertiabench.data import (
     DatasetDescriptor,
     InertialSeries,
@@ -31,6 +31,7 @@ from inertiabench.errors import (
     DegenerateChannelError,
     ShapeError,
     StageError,
+    UsageError,
 )
 from inertiabench.losses import LossSpec
 from inertiabench.model import InertialRegressor, ModelConfig, TrainConfig
@@ -58,6 +59,7 @@ from inertiabench.runner import (
     _parse_technique,
     emit_outputs,
     keep_freed_heap,
+    load_checkpoint,
     load_recordings,
     load_suite_config,
     parse_suite_config,
@@ -66,6 +68,7 @@ from inertiabench.runner import (
     run_experiment,
     run_rng,
     run_suite,
+    save_checkpoint,
     worker_count,
 )
 
@@ -104,7 +107,7 @@ class TestRunExperiment:
 
     def test_rotation_doubles_training_set_only(self):
         base_train, base_test, _ = prepare_run(tiny_suite(), BASELINE, 3)
-        aug = TechniqueSpec("augment", augment=RotationAugment(("T1",)))
+        aug = TechniqueSpec("augment", RotationAugment(("T1",)))
         aug_train, aug_test, _ = prepare_run(tiny_suite(), aug, 3)
         assert len(aug_train) == 2 * len(base_train)
         np.testing.assert_array_equal(aug_test.windows, base_test.windows)
@@ -115,15 +118,14 @@ class TestRunExperiment:
         desc = DatasetDescriptor("flat", 40.0, 40, 20, "distance_xy")
         ds = DatasetSpec(descriptor=desc,
                          synthetic=(SyntheticSegment("line", duration=4.0, rate=40.0),))
-        tech = TechniqueSpec("preprocess",
-                             preprocess=PreprocSpec((NormalizeStep("zscore"),)))
+        tech = TechniqueSpec("preprocess", PreprocSpec((NormalizeStep("zscore"),)))
         with pytest.raises(StageError) as exc:
             run_experiment(tiny_suite(ds), tech, 0)
         assert exc.value.stage == "preprocess"
 
     @staticmethod
     def _split_windows(steps=(), seed=3):
-        technique = (TechniqueSpec("preprocess", preprocess=PreprocSpec(steps)) if steps
+        technique = (TechniqueSpec("preprocess", PreprocSpec(steps)) if steps
                      else TechniqueSpec("baseline"))
         train_ds, test_ds, _ = prepare_run(tiny_suite(), technique, seed)
         return train_ds.windows, test_ds.windows
@@ -148,7 +150,7 @@ class TestRunExperiment:
         # averages a window that reaches back over the split boundary
         n = 9
         suite = tiny_suite()
-        tech = TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(n),)))
+        tech = TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(n),)))
         raw = load_recordings(suite.dataset)[0][0].imu
         _, test_ds, _ = prepare_run(suite, tech, 0)
         k = int(round((len(raw) - n + 1) * suite.train_fraction))
@@ -164,7 +166,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr("inertiabench.runner.moving_average", denoise_in_place)
         suite = tiny_suite()
-        tech = TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(3),)))
+        tech = TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(3),)))
         recordings = load_recordings(suite.dataset)
         before = recordings[0][0].imu.copy()
         with pytest.raises(StageError) as exc:
@@ -179,7 +181,7 @@ class TestRunExperiment:
 
     def test_paired_seeds_share_initialization(self):
         cfg_a = prepare_run(tiny_suite(), BASELINE, 5)[2]
-        cfg_b = prepare_run(tiny_suite(), TechniqueSpec("loss", loss=LossSpec("huber")), 5)[2]
+        cfg_b = prepare_run(tiny_suite(), TechniqueSpec("loss", LossSpec("huber")), 5)[2]
         assert cfg_a == cfg_b
         pa = InertialRegressor(cfg_a, run_rng(5, "init")).parameters()
         pb = InertialRegressor(cfg_b, run_rng(5, "init")).parameters()
@@ -200,7 +202,7 @@ class TestRunExperiment:
 def suite():
     techniques = (
         TechniqueSpec("baseline"),
-        TechniqueSpec("loss", loss=LossSpec("huber")),
+        TechniqueSpec("loss", LossSpec("huber")),
     )
     return SuiteConfig(dataset=tiny_dataset(), techniques=techniques,
                        model=TINY_MODEL, train=TINY_TRAIN,
@@ -246,13 +248,10 @@ class TestRunSuite:
          "window size 40 is too short for conv kernel 41, stride 1 and pool depth 2"),
         ({"model": replace(TINY_MODEL, pool_depth=39)},
          "window size 40 is too short for conv kernel 3, stride 1 and pool depth 39"),
-        # the config reader has no key for either: techniques set them
+        # the config reader has no key for it: techniques set it
         ({"model": replace(TINY_MODEL, head_mode="head3")},
-         "head mode and loss come from techniques, so a suite's are the baseline's 'single' "
-         "and LossSpec(kind='mse', delta=1.0), got 'head3' and LossSpec(kind='mse', delta=1.0)"),
-        ({"train": replace(TINY_TRAIN, loss=LossSpec("mae"))},
-         "head mode and loss come from techniques, so a suite's are the baseline's 'single' "
-         "and LossSpec(kind='mse', delta=1.0), got 'single' and LossSpec(kind='mae', delta=1.0)"),
+         "head mode comes from techniques, so a suite's is the baseline's 'single', "
+         "got 'head3'"),
     ])
     def test_suite_built_in_python_checks_every_run(self, changes, message):
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
@@ -273,7 +272,7 @@ class TestRunSuite:
         monkeypatch.setattr("inertiabench.runner.load_recordings", counting_load)
         several = replace(suite, techniques=suite.techniques + (
             TechniqueSpec("head2"),
-            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(5),)))))
+            TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(5),)))))
         reports = run_suite(several)
         assert calls == [several.dataset]
         assert [len(r.rmse_runs) for r in reports] == [2, 2, 2, 2]
@@ -285,7 +284,7 @@ class TestRunSuite:
         # technique in the preprocess stage; its StageError crosses processes
         failing = replace(suite, techniques=(
             TechniqueSpec("baseline"),
-            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(100000),)))))
+            TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(100000),)))))
         series, gt = synthesize_dataset("circle", duration=6.0, rate=40.0,
                                         noise_acc=0.05, noise_gyro=0.0005, seed=1)
         write_imu_csv(tmp_path / "imu.csv", series)
@@ -318,7 +317,7 @@ class TestRunSuite:
         monkeypatch.setenv(WORKERS_ENV, "1")
         failing = replace(suite, repetitions=3, techniques=(
             TechniqueSpec("baseline"),
-            TechniqueSpec("preprocess", preprocess=PreprocSpec((DenoiseStep(100000),)))))
+            TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(100000),)))))
         with warnings.catch_warnings(record=True) as caught:
             # Python's default filter shows a repeated message once per call site
             warnings.simplefilter("default")
@@ -517,11 +516,11 @@ class TestConfigParsing:
     def test_full_document(self):
         suite = parse_suite_config(json.loads(json.dumps(CONFIG_DOC)))
         assert suite.repetitions == 2
-        assert suite.techniques[1].loss == LossSpec("huber", 2.0)
-        assert suite.techniques[2].augment.axes == ("T1", "T3")
-        assert suite.techniques[3].augment.copies == 3
-        assert suite.techniques[4].augment.schedule == ((0.1, 0.001),)
-        steps = suite.techniques[5].preprocess.steps
+        assert suite.techniques[1].spec == LossSpec("huber", 2.0)
+        assert suite.techniques[2].spec.axes == ("T1", "T3")
+        assert suite.techniques[3].spec.copies == 3
+        assert suite.techniques[4].spec.schedule == ((0.1, 0.001),)
+        steps = suite.techniques[5].spec.steps
         assert isinstance(steps[0], DenoiseStep) and steps[0].window == 5
         assert isinstance(steps[1], DetrendStep)
 
@@ -563,17 +562,16 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"kind": "distill"}, "unknown technique kind 'distill'"),
-        ({"kind": "loss"}, "technique 'loss' takes exactly its own inner spec, got loss=None"),
-        ({"kind": "baseline", "loss": LossSpec()},
-         "technique 'baseline' takes exactly its own inner spec, got loss="),
-        ({"kind": "augment", "augment": NoiseAugment(),
-          "preprocess": PreprocSpec((DetrendStep(),))},
-         "technique 'augment' takes exactly its own inner spec, got preprocess="),
+        ({"kind": "loss"}, "technique 'loss' takes its own inner spec, got None"),
+        ({"kind": "baseline", "spec": LossSpec()},
+         "technique 'baseline' takes no inner spec, got LossSpec("),
+        ({"kind": "augment", "spec": PreprocSpec((DetrendStep(),))},
+         "technique 'augment' takes its own inner spec, got PreprocSpec("),
         ({"kind": "baseline", "label": ""}, "technique name must not be empty"),
-        ({"kind": "loss", "loss": RotationAugment()},
-         "technique 'loss' takes exactly its own inner spec, got loss=RotationAugment("),
-        ({"kind": "preprocess", "preprocess": LossSpec()},
-         "technique 'preprocess' takes exactly its own inner spec, got preprocess=LossSpec("),
+        ({"kind": "loss", "spec": RotationAugment()},
+         "technique 'loss' takes its own inner spec, got RotationAugment("),
+        ({"kind": "preprocess", "spec": LossSpec()},
+         "technique 'preprocess' takes its own inner spec, got LossSpec("),
     ])
     def test_technique_spec_takes_its_own_inner_spec_only(self, kwargs, match):
         with pytest.raises(ConfigError, match=re.escape(match)):
@@ -613,11 +611,37 @@ class TestConfigParsing:
         assert '"delta": 2.0' in texts[1]
         assert texts[0] == texts[1]
 
-    def test_to_dict_is_the_config_entry_form(self):
-        t = _parse_technique({"kind": "loss", "loss": "huber", "delta": 2.0,
-                              "name": "robust-loss"})
-        assert t.to_dict() == {"kind": "loss", "name": "robust-loss", "loss": "huber",
-                               "delta": 2.0}
+    @pytest.mark.parametrize("entry, expected", [
+        ({"kind": "baseline"}, {"kind": "baseline"}),
+        ({"kind": "head2"}, {"kind": "head2"}),
+        ({"kind": "loss", "loss": "huber"}, {"kind": "loss", "loss": "huber", "delta": 1.0}),
+        ({"kind": "loss", "loss": "huber", "delta": 2.0, "name": "robust-loss"},
+         {"kind": "loss", "name": "robust-loss", "loss": "huber", "delta": 2.0}),
+        ({"kind": "augment", "augment": {"kind": "rotation"}},
+         {"kind": "augment", "augment": {"kind": "rotation", "axes": ["T1"]}}),
+        ({"kind": "augment", "augment": {"kind": "bias"}},
+         {"kind": "augment", "augment": {"kind": "bias", "copies": 1, "sigma_acc": 0.1,
+                                         "sigma_gyro": 0.001}}),
+        ({"kind": "augment", "augment": {"kind": "noise"}},
+         {"kind": "augment", "augment": {"kind": "noise", "schedule": [
+             [0.1, 0.001], [0.25, 0.0025], [0.5, 0.005]]}}),
+        ({"kind": "preprocess", "steps": [{"op": "denoise", "window": 5}]},
+         {"kind": "preprocess", "steps": [{"op": "denoise", "window": 5}]}),
+        ({"kind": "preprocess", "steps": [{"op": "add_noise"}]},
+         {"kind": "preprocess", "steps": [{"op": "add_noise", "sigma_acc": 0.1,
+                                           "sigma_gyro": 0.001}]}),
+        ({"kind": "preprocess", "steps": [{"op": "normalize"}]},
+         {"kind": "preprocess", "steps": [{"op": "normalize", "method": "zscore"}]}),
+        ({"kind": "preprocess", "steps": [{"op": "detrend"}]},
+         {"kind": "preprocess", "steps": [{"op": "detrend"}]}),
+        ({"kind": "preprocess", "name": "smooth-then-scale",
+          "steps": [{"op": "denoise", "window": 3}, {"op": "normalize", "method": "robust"}]},
+         {"kind": "preprocess", "name": "smooth-then-scale",
+          "steps": [{"op": "denoise", "window": 3}, {"op": "normalize", "method": "robust"}]}),
+    ])
+    def test_to_dict_is_the_config_entry_form(self, entry, expected):
+        # the ``spec`` object that report.json writes for the technique
+        assert _parse_technique(entry).to_dict() == expected
 
     @pytest.mark.parametrize("section, value, match", [
         # keys that belong to another kind
@@ -798,7 +822,7 @@ def _scalar_fields():
               ("segment", SyntheticSegment, own(SyntheticSegment)),
               ("params", SynthParams, own(SynthParams)),
               ("model", ModelConfig, own(ModelConfig, "output_dim", "head_mode")),
-              ("train", TrainConfig, own(TrainConfig, "loss")),
+              ("train", TrainConfig, own(TrainConfig)),
               ("suite", SuiteConfig, own(SuiteConfig)),
               ("technique", TechniqueSpec, [("name", "label")]),
               ("loss", LossSpec, LOSS_KEYS.items())]
@@ -858,3 +882,21 @@ def test_every_public_name_resolves():
 
     assert [n for n in inertiabench.__all__ if not hasattr(inertiabench, n)] == []
     assert len(set(inertiabench.__all__)) == len(inertiabench.__all__)
+
+
+@pytest.mark.parametrize("dtype, message", [
+    ("<U3", "has dtype <U3, expected a float dtype"),
+    (complex, "has dtype complex128, expected a float dtype"),
+    (object, "cannot be read: Object arrays cannot be loaded when allow_pickle=False"),
+])
+def test_checkpoint_parameter_must_be_float(dtype, message, tmp_path):
+    # np.isfinite raises TypeError on strings, a cast to float drops an
+    # imaginary part, and numpy reads an object array only through pickle
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, InertialRegressor(TINY_MODEL, run_rng(0, "init")))
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    arrays["param/fc.b"] = arrays["param/fc.b"].astype(dtype)
+    np.savez(path, **arrays)
+    with pytest.raises(UsageError, match=re.escape(f"checkpoint parameter 'fc.b' {message}")):
+        load_checkpoint(path)
