@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import WindowedDataset, check_stds
+from .data import WindowedDataset, add_sensor_noise, check_stds
 from .errors import ShapeError
 
 # the three fixed 30-degree rotations, as matrix rows: T1 rotates about the
@@ -95,8 +95,8 @@ class BiasAugment:
         One bias vector is drawn per copy and held constant across that whole
         copy, modelling a calibration offset rather than noise.
         """
-        return [windows + np.concatenate([rng.normal(0.0, self.sigma_acc, 3),
-                                          rng.normal(0.0, self.sigma_gyro, 3)])[None, :, None]
+        return [windows + add_sensor_noise(np.zeros((1, 6, 1)), self.sigma_acc,
+                                           self.sigma_gyro, rng)
                 for _ in range(self.copies)]
 
 
@@ -116,13 +116,7 @@ class NoiseAugment:
 
     def copies_of(self, windows: np.ndarray, rng: np.random.Generator) -> list:
         """One i.i.d.-noise copy per schedule entry."""
-        copies = []
-        for sigma_acc, sigma_gyro in self.schedule:
-            noisy = windows.copy()
-            noisy[:, :3] += rng.normal(0.0, sigma_acc, size=noisy[:, :3].shape)
-            noisy[:, 3:] += rng.normal(0.0, sigma_gyro, size=noisy[:, 3:].shape)
-            copies.append(noisy)
-        return copies
+        return [add_sensor_noise(windows.copy(), a, g, rng) for a, g in self.schedule]
 
 
 AUGMENT_TYPES = (RotationAugment, BiasAugment, NoiseAugment)
@@ -133,4 +127,4 @@ def apply_augmentation(ds: WindowedDataset, spec, rng: np.random.Generator) -> W
     copies = spec.copies_of(ds.windows, rng)
     windows = np.concatenate([ds.windows] + copies, axis=0)
     labels = np.concatenate([ds.labels] * (1 + len(copies)), axis=0)
-    return WindowedDataset(windows, labels, ds.descriptor)
+    return WindowedDataset(windows, labels)

@@ -108,7 +108,6 @@ class WindowedDataset:
 
     windows: np.ndarray
     labels: np.ndarray
-    descriptor: DatasetDescriptor
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=float)
@@ -280,7 +279,7 @@ def window_dataset(series: InertialSeries, gt: GroundTruth,
     else:
         steps = np.linalg.norm(np.diff(aligned.position[:, :2], axis=0), axis=1)
         labels = sliding_window_view(steps, w - 1)[starts].sum(axis=1, keepdims=True)
-    return WindowedDataset(windows, labels, descriptor)
+    return WindowedDataset(windows, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +290,18 @@ def check_stds(*stds: float) -> None:
     """Raise ShapeError unless every noise std is finite and >= 0 (NaN is not)."""
     if not all(0 <= std < np.inf for std in stds):
         raise ShapeError(f"noise stds must be finite and non-negative, got {list(stds)}")
+
+
+def add_sensor_noise(x: np.ndarray, sigma_acc: float, sigma_gyro: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Add zero-mean Gaussian IMU noise to ``x`` in place and return ``x``.
+
+    Axis 1 holds the six channels of an (N, 6) series or (M, 6, W) windows;
+    the accelerometer values are drawn first, then the gyro values."""
+    check_stds(sigma_acc, sigma_gyro)
+    x[:, :3] += rng.normal(0.0, sigma_acc, x[:, :3].shape)
+    x[:, 3:] += rng.normal(0.0, sigma_gyro, x[:, 3:].shape)
+    return x
 
 
 @dataclass(frozen=True)
@@ -327,8 +338,11 @@ class SyntheticSegment:
         if not (self.rate > 0 and np.isfinite(n) and round(n) >= 2):
             raise ShapeError(f"a recording needs a rate > 0 and at least 2 samples, got "
                              f"{self.duration} s at {self.rate} Hz")
-        if self.gt_rate is not None and not self.gt_rate > 0:
-            raise ShapeError(f"ground-truth rate must be > 0, got {self.gt_rate}")
+        if self.gt_rate is not None:  # GT keeps every (rate / gt_rate)-th sample
+            k = self.rate / self.gt_rate if self.gt_rate > 0 else 0.0
+            if not (1 - 1e-9 <= k < np.inf and abs(k - round(k)) <= 1e-9 * k):
+                raise ShapeError(f"ground-truth rate must divide the IMU rate {self.rate} Hz "
+                                 f"a whole number of times, got {self.gt_rate}")
         check_stds(self.noise_acc, self.noise_gyro)
         if self.seed < 0:
             raise ShapeError(f"noise seed must be >= 0, got {self.seed}")
@@ -381,14 +395,12 @@ def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTrut
         [f_bx, f_by, np.full(n, GRAVITY), np.zeros(n), np.zeros(n), psi_dot]
     )
 
-    if seg.noise_acc > 0 or seg.noise_gyro > 0:
-        rng = np.random.default_rng(seg.seed)
-        imu[:, :3] += rng.normal(0.0, seg.noise_acc, size=(n, 3))
-        imu[:, 3:] += rng.normal(0.0, seg.noise_gyro, size=(n, 3))
+    if seg.noise_acc > 0 or seg.noise_gyro > 0:  # adding 0.0 turns a -0.0 force to +0.0
+        add_sensor_noise(imu, seg.noise_acc, seg.noise_gyro, np.random.default_rng(seg.seed))
 
     series = InertialSeries(t=t, imu=imu)
 
-    step = max(1, int(round(rate / (seg.gt_rate or rate))))
+    step = round(rate / (seg.gt_rate or rate))
     idx = np.arange(0, n, step)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)  # GT must span the IMU range

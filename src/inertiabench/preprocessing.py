@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import CHANNELS, InertialSeries, check_stds
+from .data import CHANNELS, InertialSeries, add_sensor_noise, check_stds
 from .errors import DegenerateChannelError, ShapeError
 
 
@@ -101,14 +101,8 @@ def moving_average(series: InertialSeries, n: int) -> InertialSeries:
 def add_measurement_noise(series: InertialSeries, sigma_acc: float,
                           sigma_gyro: float, rng: np.random.Generator) -> InertialSeries:
     """Add i.i.d. zero-mean Gaussian noise, per accelerometer/gyro std."""
-    AddNoiseStep(sigma_acc, sigma_gyro)  # validates the stds
-    imu = series.imu.copy()
-    n = len(series)
-    if sigma_acc > 0:
-        imu[:, :3] += rng.normal(0.0, sigma_acc, size=(n, 3))
-    if sigma_gyro > 0:
-        imu[:, 3:] += rng.normal(0.0, sigma_gyro, size=(n, 3))
-    return InertialSeries(series.t.copy(), imu)
+    return InertialSeries(series.t.copy(),
+                          add_sensor_noise(series.imu.copy(), sigma_acc, sigma_gyro, rng))
 
 
 @dataclass(frozen=True)

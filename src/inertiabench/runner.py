@@ -307,10 +307,10 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _windowed(parts: list[WindowedDataset], descriptor, detrend: bool):
+def _windowed(parts: list[WindowedDataset], detrend: bool):
     windows = np.concatenate([p.windows for p in parts])
     return WindowedDataset(detrend_linear(windows) if detrend else windows,
-                           np.concatenate([p.labels for p in parts]), descriptor)
+                           np.concatenate([p.labels for p in parts]))
 
 
 def run_rng(seed: int, stream: str) -> np.random.Generator:
@@ -360,8 +360,7 @@ def prepare_run(suite: SuiteConfig, technique: TechniqueSpec, seed: int, recordi
         splits = [[window_dataset(part, gt, descriptor)
                    for part in _split_series(series, suite.train_fraction)]
                   for series, gt in recordings]
-        train_ds, test_ds = (_windowed(parts, descriptor, detrend)
-                             for parts in zip(*splits))
+        train_ds, test_ds = (_windowed(parts, detrend) for parts in zip(*splits))
 
     if technique.kind == "augment":
         with _stage("augment"):

@@ -210,11 +210,10 @@ def test_criterion_2_closed_form_oracles(capfd):
         np.testing.assert_allclose(rot[3:, 0], [0.5, 0.8660, 0.0], atol=1e-4)
 
         # bias copies: reproducible under the same seed, pairwise distinct
-        desc = DatasetDescriptor("t", 100.0, 20, 20, "distance_xy")
         base = np.random.default_rng(2).normal(size=(10, 6, 20))
         from inertiabench.data import WindowedDataset
 
-        wds = WindowedDataset(base, np.zeros((10, 1)), desc)
+        wds = WindowedDataset(base, np.zeros((10, 1)))
         a = apply_augmentation(wds, BiasAugment(copies=3), np.random.default_rng(3))
         b = apply_augmentation(wds, BiasAugment(copies=3), np.random.default_rng(3))
         np.testing.assert_array_equal(a.windows, b.windows)
@@ -225,7 +224,7 @@ def test_criterion_2_closed_form_oracles(capfd):
 
         # additive-noise schedule: empirical std within 5% of each sigma
         wide = WindowedDataset(np.random.default_rng(4).normal(size=(30, 6, 100)),
-                               np.zeros((30, 1)), desc)
+                               np.zeros((30, 1)))
         nspec = NoiseAugment()
         noisy_ds = apply_augmentation(wide, nspec, np.random.default_rng(5))
         for i, (sa, sg) in enumerate(nspec.schedule):

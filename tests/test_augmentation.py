@@ -11,16 +11,15 @@ from inertiabench.augmentation import (
     rotate_samples,
     rotation_matrix,
 )
-from inertiabench.data import DatasetDescriptor, WindowedDataset
+from inertiabench.data import WindowedDataset
 from inertiabench.errors import ShapeError
 from inertiabench.runner import AUGMENT_KINDS
 
 
 def make_dataset(n_windows=10, width=20, seed=0):
     rng = np.random.default_rng(seed)
-    desc = DatasetDescriptor("test", 120.0, width, width, "distance_xy")
     return WindowedDataset(rng.normal(size=(n_windows, 6, width)),
-                           rng.normal(size=(n_windows, 1)), desc)
+                           rng.normal(size=(n_windows, 1)))
 
 
 class TestRotationMatrices:

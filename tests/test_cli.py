@@ -305,6 +305,7 @@ class TestOneLineErrors:
                                       "window-too-short",
                                       "synth-zero-duration", "synth-zero-rate",
                                       "synth-negative-duration", "synth-zero-gt-rate",
+                                      "synth-non-divisor-gt-rate",
                                       "synth-negative-noise", "synth-negative-seed",
                                       "bench-fractional-repetitions",
                                       "train-negative-seed",
@@ -478,6 +479,7 @@ class TestOneLineErrors:
                      "synth-zero-rate": ["--rate", "0"],
                      "synth-negative-duration": ["--duration", "-5"],
                      "synth-zero-gt-rate": ["--gt-rate", "0"],
+                     "synth-non-divisor-gt-rate": ["--gt-rate", "25"],
                      "synth-negative-noise": ["--noise-acc", "-1"],
                      "synth-negative-seed": ["--noise-acc", "0.1", "--seed", "-1"]}[case]
             argv = ["synth", "--kind", "circle", *flags, "--out-dir", out]
@@ -524,6 +526,9 @@ class TestOneLineErrors:
                            "improvement_pct must be null when mean is\n")
         if "report" in case:
             assert not os.path.exists(out)
+        if case == "synth-non-divisor-gt-rate":
+            assert err == ("error: ground-truth rate must divide the IMU rate 120.0 Hz "
+                           "a whole number of times, got 25.0\n")
         if case == "train-negative-seed":
             assert "--seed" in err and not (tmp_path / "model.npz").exists()
         assert not list(tmp_path.rglob("*.csv"))

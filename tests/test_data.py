@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from inertiabench import SyntheticSegment
+from inertiabench.augmentation import BiasAugment, NoiseAugment
 from inertiabench.data import (
     GRAVITY,
     DatasetDescriptor,
@@ -27,6 +28,7 @@ from inertiabench.data import (
     write_imu_csv,
 )
 from inertiabench.errors import CoverageError, DataError, ParseError, ShapeError
+from inertiabench.preprocessing import add_measurement_noise
 
 # 200 rows of doubles spread over the exponent range; their reprs run to 17 digits
 RANDOM_DOUBLES = (np.random.default_rng(0).normal(size=(200, 2))
@@ -350,7 +352,7 @@ class TestLabels:
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("window", [1, 2, 7, None])
     def test_bitwise_equal_to_loop(self, target_kind, stride, window):
-        series, gt = synthesize_dataset("sinusoid", duration=1.0, rate=60.0, gt_rate=25.0)
+        series, gt = synthesize_dataset("sinusoid", duration=1.0, rate=60.0, gt_rate=30.0)
         window = window or len(series)
         desc = DatasetDescriptor("d", 60.0, window, stride, target_kind)
         ds = window_dataset(series, gt, desc)
@@ -411,6 +413,8 @@ class TestSynthesizer:
         ({"noise_gyro": -0.1}, "non-negative"),
         ({"noise_acc": float("nan")}, "finite and non-negative"),
         ({"noise_gyro": float("inf")}, "finite and non-negative"),
+        ({"gt_rate": 25.0}, "ground-truth rate"),  # 120 / 25 is not whole
+        ({"gt_rate": 240.0}, "ground-truth rate"),  # above the IMU rate
     ])
     def test_segment_rejects_degenerate_recording(self, options, match):
         with pytest.raises(ShapeError, match=match):
@@ -455,6 +459,43 @@ class TestSynthesizer:
         assert np.max(np.linalg.norm(pos - track, axis=1)) < 1e-3 * scale
 
 
+@pytest.mark.parametrize("stds", [(0.2, 0.003), (0.0, 0.003), (0.2, 0.0)],
+                         ids=["both", "gyro-only", "acc-only"])
+@pytest.mark.parametrize("caller", ["synthesize_dataset", "add_measurement_noise",
+                                    "BiasAugment", "NoiseAugment"])
+def test_sensor_noise_draws_the_acc_then_the_gyro_values(caller, stds):
+    # every caller of the shared draw adds, per output, an accelerometer block
+    # and then a gyro block from its generator, also when one std is 0
+    sa, sg = stds
+    windows = np.random.default_rng(1).normal(size=(4, 6, 5))
+    if caller == "synthesize_dataset":
+        clean = synthesize_dataset("circle", duration=1.0, rate=20.0)[0].imu
+        got = [synthesize_dataset("circle", duration=1.0, rate=20.0,
+                                  noise_acc=sa, noise_gyro=sg, seed=7)[0].imu]
+        cases = [(clean, (20, 3), sa, sg)]
+    elif caller == "add_measurement_noise":
+        clean = np.random.default_rng(2).normal(size=(20, 6))
+        series = InertialSeries(np.arange(20.0), clean)
+        got = [add_measurement_noise(series, sa, sg, np.random.default_rng(7)).imu]
+        cases = [(clean, (20, 3), sa, sg)]
+    elif caller == "BiasAugment":
+        got = BiasAugment(3, sa, sg).copies_of(windows, np.random.default_rng(7))
+        cases = [(windows, (1, 3, 1), sa, sg)] * 3  # one offset per channel and copy
+    else:
+        schedule = ((sa, sg), (2 * sa, 3 * sg))
+        got = NoiseAugment(schedule).copies_of(windows, np.random.default_rng(7))
+        cases = [(windows, (4, 3, 5), a, g) for a, g in schedule]
+    assert len(got) == len(cases)
+    rng = np.random.default_rng(7)
+    for out, (clean, shape, a, g) in zip(got, cases):
+        expected = clean + np.concatenate([rng.normal(0.0, a, shape),
+                                           rng.normal(0.0, g, shape)], axis=1)
+        assert out.tobytes() == expected.tobytes()
+        for std, triple in ((a, slice(0, 3)), (g, slice(3, 6))):
+            if std == 0:
+                np.testing.assert_array_equal(out[:, triple], clean[:, triple])
+
+
 class TestSeriesInvariants:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -466,8 +507,7 @@ class TestSeriesInvariants:
         (lambda: GroundTruth(np.arange(3.0), position=np.zeros((3, 2))),
          r"position must be \(3, 3\)"),
         (lambda: GroundTruth(np.arange(3.0), heading=np.zeros(2)), r"heading must be \(3,\)"),
-        (lambda: WindowedDataset(np.zeros((3, 6, 4)), np.zeros((2, 1)),
-                                 DatasetDescriptor("d", 1.0, 4, 1, "heading")),
+        (lambda: WindowedDataset(np.zeros((3, 6, 4)), np.zeros((2, 1))),
          "window/label count mismatch"),
     ], ids=["imu", "position", "heading", "window-count"])
     def test_wrong_shape_rejected(self, make, match):
