@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +30,7 @@ from .errors import CoverageError, DataError, ParseError, ShapeError
 CHANNELS = ("fx", "fy", "fz", "wx", "wy", "wz")
 GRAVITY = 9.80665
 
-TARGET_KINDS = ("distance_xy", "position_xy", "heading")
+TARGET_GT = {"distance_xy": "position", "position_xy": "position", "heading": "heading"}
 TRAJECTORY_KINDS = ("line", "circle", "sinusoid")
 
 
@@ -94,7 +94,7 @@ class DatasetDescriptor:
     def __post_init__(self):
         if self.window_size < 1 or self.stride < 1 or not 0 < self.sampling_rate < np.inf:
             raise ShapeError(f"invalid descriptor: {self}")
-        if self.target_kind not in TARGET_KINDS:
+        if self.target_kind not in TARGET_GT:
             raise ShapeError(f"unknown target kind '{self.target_kind}'")
 
     @property
@@ -267,17 +267,15 @@ def window_dataset(series: InertialSeries, gt: GroundTruth,
     windows, starts = make_windows(series, descriptor)
     w, kind = descriptor.window_size, descriptor.target_kind
     ends = starts + w - 1
+    track = getattr(aligned, TARGET_GT[kind])
+    if track is None:
+        raise CoverageError(f"{kind} targets requested but no {TARGET_GT[kind]} GT")
     if kind == "heading":
-        if aligned.heading is None:
-            raise CoverageError("heading targets requested but no heading GT")
-        labels = aligned.heading[ends, None]
-    elif aligned.position is None:
-        raise CoverageError(f"{kind} targets requested but no position GT")
+        labels = track[ends, None]
     elif kind == "position_xy":
-        p = aligned.position[:, :2]
-        labels = p[ends] - p[starts]
+        labels = track[ends, :2] - track[starts, :2]
     else:
-        steps = np.linalg.norm(np.diff(aligned.position[:, :2], axis=0), axis=1)
+        steps = np.linalg.norm(np.diff(track[:, :2], axis=0), axis=1)
         labels = sliding_window_view(steps, w - 1)[starts].sum(axis=1, keepdims=True)
     return WindowedDataset(windows, labels)
 
@@ -315,6 +313,12 @@ class SynthParams:
     amplitude: float = 1.0  # sinusoid lateral amplitude, m
     frequency: float = 0.5  # sinusoid angular frequency, rad/s
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not abs(value) < np.inf:  # false for NaN too
+                raise ShapeError(f"trajectory parameter {f.name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class SyntheticSegment:
@@ -348,6 +352,7 @@ class SyntheticSegment:
             raise ShapeError(f"noise seed must be >= 0, got {self.seed}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTruth]:
     """Generate an analytic planar trajectory with exact ground truth.
 
@@ -355,6 +360,8 @@ def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTrut
     them and holds their defaults.  The body frame is yaw-aligned with the
     velocity direction; specific force includes the gravity reaction
     [0, 0, g].  Optional Gaussian sensor noise is drawn from ``seed``.
+    Kinematics that overflow become inf or NaN, which ``InertialSeries`` or
+    ``GroundTruth`` rejects with a DataError.
     """
     seg = SyntheticSegment(kind, **options)
     p, rate = seg.params, seg.rate
@@ -371,11 +378,12 @@ def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTrut
         th = p.omega * t
         pos = p.radius * np.column_stack([np.cos(th), np.sin(th)])
         vel = p.radius * p.omega * np.column_stack([-np.sin(th), np.cos(th)])
-        acc = -p.radius * p.omega**2 * np.column_stack([np.cos(th), np.sin(th)])
+        # numpy's power overflows to inf where a float's raises; both call C pow
+        acc = -p.radius * np.float64(p.omega)**2 * np.column_stack([np.cos(th), np.sin(th)])
         psi = np.arctan2(vel[:, 1], vel[:, 0])
         psi_dot = np.full(n, p.omega)
     else:  # sinusoid
-        w = p.frequency
+        w = np.float64(p.frequency)
         pos = np.column_stack([p.speed * t, p.amplitude * np.sin(w * t)])
         vel = np.column_stack(
             [np.full(n, p.speed), p.amplitude * w * np.cos(w * t)]

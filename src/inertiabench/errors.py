@@ -37,11 +37,11 @@ class DegenerateChannelError(DataError):
     """A channel has zero spread, so it cannot be normalized."""
 
     def __init__(self, channel: str):
+        super().__init__(channel)
         self.channel = channel
-        super().__init__(f"channel '{channel}' has zero spread")
 
-    def __reduce__(self):
-        return DegenerateChannelError, (self.channel,)
+    def __str__(self):
+        return f"channel '{self.channel}' has zero spread"
 
 
 class ConfigError(InertiaBenchError, ValueError):
@@ -52,10 +52,9 @@ class StageError(InertiaBenchError, RuntimeError):
     """Failure wrapped with the pipeline stage where it occurred."""
 
     def __init__(self, stage: str, cause: BaseException):
+        super().__init__(stage, cause)
         self.stage = stage
         self.cause = cause
-        super().__init__(f"[{stage}] {cause}")
 
-    def __reduce__(self):
-        # the default passes only the message, which __init__ cannot take
-        return StageError, (self.stage, self.cause)
+    def __str__(self):
+        return f"[{self.stage}] {self.cause}"

@@ -29,6 +29,7 @@ import numpy as np
 from .augmentation import (AUGMENT_TYPES, BiasAugment, NoiseAugment, RotationAugment,
                            apply_augmentation)
 from .data import (
+    TARGET_GT,
     DatasetDescriptor,
     GroundTruth,
     InertialSeries,
@@ -94,7 +95,7 @@ class DatasetSpec:
         if self.imu_csv is None:
             raise ConfigError("dataset needs synthetic segments or csv paths")
         kind = self.descriptor.target_kind
-        gt = "gt_heading_csv" if kind == "heading" else "gt_pos_csv"
+        gt = {"position": "gt_pos_csv", "heading": "gt_heading_csv"}[TARGET_GT[kind]]
         for key in ("gt_pos_csv", "gt_heading_csv"):  # the one its targets read
             if (getattr(self, key) is None) == (key == gt):
                 raise ConfigError(f"{kind} targets {'need' if key == gt else 'never read'} {key}")
@@ -269,12 +270,10 @@ def load_recordings(ds: DatasetSpec) -> list[tuple[InertialSeries, GroundTruth]]
     if abs(rate - expected) > 0.01 * expected:
         raise DataError(f"{ds.imu_csv} is sampled at {rate:.6g} Hz, but the descriptor's "
                         f"sampling rate is {expected} Hz")
-    if ds.descriptor.target_kind == "heading":
-        gt = parse_gt_heading_csv(ds.gt_heading_csv)
-    else:
-        gt = parse_gt_pos_csv(ds.gt_pos_csv)
-    # preprocessing only trims a recording and the split takes parts of it,
-    # so ground truth that covers it here covers every run's windows
+    # DatasetSpec holds only the GT path the targets read; preprocessing only trims a
+    # recording and the split takes parts of it, so GT that covers it covers every run
+    gt = (parse_gt_pos_csv(ds.gt_pos_csv) if ds.gt_heading_csv is None
+          else parse_gt_heading_csv(ds.gt_heading_csv))
     check_coverage(series, gt)
     return [(series, gt)]
 
@@ -435,8 +434,6 @@ def keep_freed_heap() -> None:
 
 
 def _run_job(job) -> float | StageError:
-    # here, not in run_suite, so that every worker runs it whatever the start method
-    keep_freed_heap()
     try:
         return run_experiment(*job)
     except StageError as exc:
@@ -483,9 +480,10 @@ def run_suite(suite: SuiteConfig) -> list[BenchReport]:
     if workers > 1:
         # imported here: a one-worker run then never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=keep_freed_heap) as pool:
             results = list(pool.map(_run_job, jobs))
     else:
+        keep_freed_heap()
         results = list(map(_run_job, jobs))
 
     reports = []
@@ -767,6 +765,11 @@ def load_checkpoint(path) -> InertialRegressor:
     """
     # np.load(path) would leave the file open when it cannot read the archive
     with open(path, "rb") as fh:
+        # np.load reads a file that is neither a zip archive (empty or not) nor an
+        # .npy array as a pickle, and its error then invites loading it unsafely
+        if not fh.read(6).startswith((b"PK\x03\x04", b"PK\x05\x06", np.lib.format.MAGIC_PREFIX)):
+            raise ParseError(f"cannot read checkpoint {path}: not an .npz archive")
+        fh.seek(0)
         try:
             archive = np.load(fh)
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:

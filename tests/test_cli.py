@@ -300,12 +300,14 @@ class TestOneLineErrors:
                                       "report-entry-improvement-without-mean",
                                       "unloadable-recordings",
                                       "gt-ends-before-imu",
+                                      "overflowing-trajectory-frequency",
                                       "unknown-trajectory-kind",
                                       "non-string-technique-name",
                                       "window-too-short",
                                       "synth-zero-duration", "synth-zero-rate",
                                       "synth-negative-duration", "synth-zero-gt-rate",
                                       "synth-non-divisor-gt-rate",
+                                      "synth-overflowing-omega", "synth-infinite-omega",
                                       "synth-negative-noise", "synth-negative-seed",
                                       "bench-fractional-repetitions",
                                       "train-negative-seed",
@@ -412,7 +414,8 @@ class TestOneLineErrors:
             path.write_text(json.dumps(doc))
             argv = ["bench", "--config", str(path), "--out-dir", out]
         elif case in ("unloadable-recordings", "gt-ends-before-imu",
-                      "unknown-trajectory-kind", "non-string-technique-name", "window-too-short",
+                      "overflowing-trajectory-frequency", "unknown-trajectory-kind",
+                      "non-string-technique-name", "window-too-short",
                       "bench-fractional-repetitions", "unhashable-technique-kind",
                       "imu-csv-zero"):
             # a suite that cannot run ends once, before any report is written
@@ -431,6 +434,9 @@ class TestOneLineErrors:
                 doc["dataset"] = {"descriptor": doc["dataset"]["descriptor"],
                                   "imu_csv": str(tmp_path / "imu.txt"),
                                   "gt_pos_csv": str(tmp_path / "gt_pos.txt")}
+            elif case == "overflowing-trajectory-frequency":  # finite, but its w**2 is not
+                doc["dataset"]["synthetic"][0].update(kind="sinusoid",
+                                                      params={"frequency": 1e200})
             elif case == "unknown-trajectory-kind":
                 doc["dataset"]["synthetic"][0]["kind"] = "square"
             elif case == "non-string-technique-name":
@@ -480,6 +486,8 @@ class TestOneLineErrors:
                      "synth-negative-duration": ["--duration", "-5"],
                      "synth-zero-gt-rate": ["--gt-rate", "0"],
                      "synth-non-divisor-gt-rate": ["--gt-rate", "25"],
+                     "synth-overflowing-omega": ["--omega", "1e200"],
+                     "synth-infinite-omega": ["--omega", "inf"],
                      "synth-negative-noise": ["--noise-acc", "-1"],
                      "synth-negative-seed": ["--noise-acc", "0.1", "--seed", "-1"]}[case]
             argv = ["synth", "--kind", "circle", *flags, "--out-dir", out]
@@ -501,6 +509,13 @@ class TestOneLineErrors:
         if case == "gt-ends-before-imu":
             assert err.startswith("error: [parse] IMU time range [0.0, 5.975] outside "
                                   "ground truth [0.0, 5.725]")
+        if case in ("synth-overflowing-omega", "overflowing-trajectory-frequency"):
+            assert err.endswith("series contains non-finite values\n")
+        if case == "synth-infinite-omega":
+            assert err == "error: trajectory parameter omega must be finite, got inf\n"
+        if case == "checkpoint-not-an-archive":
+            assert err == f"error: cannot read checkpoint {ckpt}: not an .npz archive\n"
+            assert "allow_pickle" not in err
         if case == "config-repeated-key":
             assert err.startswith(f"error: cannot read config {path}: ")
         elif case.startswith("config-"):

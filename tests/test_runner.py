@@ -29,6 +29,7 @@ from inertiabench.errors import (
     ConfigError,
     DataError,
     DegenerateChannelError,
+    ParseError,
     ShapeError,
     StageError,
     UsageError,
@@ -355,11 +356,23 @@ class TestRunSuite:
         with pytest.raises(StageError, match="sampled at 40 Hz"):
             run_suite(mismatched)
 
-    def test_stage_error_pickles(self):
-        cause = DegenerateChannelError("fx")
-        err = pickle.loads(pickle.dumps(StageError("preprocess", cause)))
-        assert (err.stage, str(err), err.cause.channel) == \
-            ("preprocess", "[preprocess] channel 'fx' has zero spread", "fx")
+    @pytest.mark.parametrize("err, message", [
+        (StageError("preprocess", DegenerateChannelError("fx")),
+         "[preprocess] channel 'fx' has zero spread"),
+        (DegenerateChannelError("fx"), "channel 'fx' has zero spread"),
+        (ParseError("no data rows"), "no data rows"),
+        (ParseError("expected 7 fields, got 3", line=4), "line 4: expected 7 fields, got 3"),
+    ], ids=["stage", "degenerate-channel", "parse", "parse-with-line"])
+    def test_error_pickles(self, err, message):
+        # a worker's failure reaches the suite's process by pickle
+        def state(value):  # an error as its type, message, args and attributes
+            if isinstance(value, BaseException):
+                return (type(value), str(value), state(value.args),
+                        {k: state(v) for k, v in vars(value).items()})
+            return tuple(map(state, value)) if isinstance(value, tuple) else value
+
+        assert str(err) == message
+        assert state(pickle.loads(pickle.dumps(err))) == state(err)
 
 
 class TestWorkerCount:
