@@ -47,6 +47,8 @@ class InertialSeries:
         self.imu = np.asarray(self.imu, dtype=float)
         if self.imu.ndim != 2 or self.imu.shape != (self.t.size, 6):
             raise ShapeError(f"imu must be ({self.t.size}, 6), got {self.imu.shape}")
+        if self.t.size == 0:
+            raise DataError("series has no samples")
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.imu))):
             raise DataError("series contains non-finite values")
         if self.t.size > 1 and np.any(np.diff(self.t) <= 0):
@@ -68,6 +70,8 @@ class GroundTruth:
         self.t = np.asarray(self.t, dtype=float)
         if self.position is None and self.heading is None:
             raise DataError("ground truth needs position or heading")
+        if self.t.size == 0:
+            raise DataError("ground truth has no samples")
         if self.position is not None:
             self.position = np.asarray(self.position, dtype=float)
             if self.position.shape != (self.t.size, 3):
@@ -393,7 +397,9 @@ def synthesize_dataset(kind: str, **options) -> tuple[InertialSeries, GroundTrut
         )
         psi = np.arctan2(vel[:, 1], vel[:, 0])
         sq = vel[:, 0] ** 2 + vel[:, 1] ** 2
-        psi_dot = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / sq
+        # at rest (|v| = 0) the heading is constant, so its rate is 0
+        psi_dot = np.divide(vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0], sq,
+                            out=np.zeros(n), where=sq > 0)
 
     # rotate navigation-frame planar acceleration into the (yaw-only) body frame
     cp, sp = np.cos(psi), np.sin(psi)

@@ -445,31 +445,19 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.BETA1, self.BETA2
-        for name in sorted(params):
+        for name, p in params.items():
             g = grads[name]
-            if g.shape != params[name].shape:
+            if g.shape != p.shape:
                 raise ShapeError(f"gradient shape mismatch for '{name}'")
             if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
+                self.m[name], self.v[name] = np.zeros_like(g), np.zeros_like(g)
             m, v = self.m[name], self.v[name]
-            # m = b1 * m + (1 - b1) * g
             m *= b1
-            tmp = (1 - b1) * g
-            m += tmp
-            # v = b2 * v + (1 - b2) * g * g
+            m += (1 - b1) * g
             v *= b2
-            np.multiply(1 - b2, g, out=tmp)
-            tmp *= g
-            v += tmp
-            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
-            np.divide(v, 1 - b2**t, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.EPSILON
-            step = m / (1 - b1**t)
-            step *= self.lr
-            step /= tmp
-            params[name] -= step
+            v += (1 - b2) * g * g
+            denom = np.sqrt(v / (1 - b2**t)) + self.EPSILON
+            p -= self.lr * (m / (1 - b1**t)) / denom
 
 
 # ---------------------------------------------------------------------------

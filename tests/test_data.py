@@ -422,6 +422,15 @@ class TestSynthesizer:
         with pytest.raises(ShapeError, match=match):
             synthesize_dataset("circle", **options)
 
+    @pytest.mark.parametrize("params", [SynthParams(speed=0.0, amplitude=0.0),
+                                        SynthParams(speed=0.0, frequency=0.0)],
+                             ids=["no-amplitude", "no-frequency"])
+    def test_sinusoid_at_rest_has_heading_rate_zero(self, params):
+        series, gt = synthesize_dataset("sinusoid", duration=1.0, rate=60.0, params=params)
+        assert np.all(np.isfinite(series.imu))
+        np.testing.assert_array_equal(series.imu[:, 5], 0.0)
+        np.testing.assert_array_equal(gt.heading, gt.heading[0])
+
     def test_two_samples_is_the_shortest_recording(self):
         series, gt = synthesize_dataset("line", duration=1.0, rate=2.0, gt_rate=0.5)
         np.testing.assert_array_equal(series.t, [0.0, 0.5])
@@ -512,6 +521,16 @@ class TestSeriesInvariants:
     ], ids=["imu", "position", "heading", "window-count"])
     def test_wrong_shape_rejected(self, make, match):
         with pytest.raises(ShapeError, match=match):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InertialSeries(np.zeros(0), np.zeros((0, 6))), "series has no samples"),
+        (lambda: GroundTruth(np.zeros(0), position=np.zeros((0, 3))),
+         "ground truth has no samples"),
+        (lambda: GroundTruth(np.zeros(0), heading=np.zeros(0)), "ground truth has no samples"),
+    ], ids=["series", "position", "heading"])
+    def test_no_samples_rejected(self, make, message):
+        with pytest.raises(DataError, match=message + "$"):
             make()
 
     def test_strictly_increasing_time(self):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from inertiabench.kernels import (
     maxpool1d,
     relu,
 )
+from inertiabench.model import InertialRegressor, ModelConfig
 
 
 def channel_major(a):
@@ -426,6 +428,25 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Adam().step({"p": np.zeros(2)}, {"p": np.zeros(3)})
+
+    def test_a_step_allocates_at_most_two_parameters(self):
+        # the denominator is named so that it is built before the bias-corrected
+        # first moment: written inline, np.sqrt holds a third parameter-sized
+        # temporary while the numerator is alive
+        params = InertialRegressor(ModelConfig(head_mode="head3"), None).parameters()
+        data = np.random.default_rng(40)
+        grads = {k: data.normal(size=p.shape) for k, p in params.items()}
+        opt = Adam()
+        opt.step(params, grads)  # the first step allocates the moments
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(p.nbytes for p in params.values())
+        assert peak - start <= 2.1 * largest
 
 
 class TestLayerDeterminism:

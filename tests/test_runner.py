@@ -329,6 +329,22 @@ class TestRunSuite:
             assert message.startswith(f"run of 'preprocess-denoise100000' (seed {seed}) "
                                       "failed: [preprocess] ")
 
+    def test_run_left_with_no_samples_fails_alone(self, monkeypatch):
+        # a denoise window as long as the recording leaves one sample, so the
+        # split leaves a part with none
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        dataset = DatasetSpec(descriptor=DatasetDescriptor("short", 10.0, 4, 2, "distance_xy"),
+                              synthetic=(SyntheticSegment("circle", duration=3.0, rate=10.0),))
+        denoise = TechniqueSpec("preprocess", PreprocSpec((DenoiseStep(30),)))
+        short = replace(tiny_suite(dataset), techniques=(BASELINE, denoise), repetitions=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            baseline, failed = run_suite(short)
+        assert (baseline.failed_runs, len(baseline.rmse_runs)) == (0, 1)
+        assert (failed.failed_runs, failed.rmse_runs) == (1, [])
+        assert [str(w.message) for w in caught] == [
+            "run of 'preprocess-denoise30' (seed 0) failed: [window] series has no samples"]
+
     def test_descriptor_rate_must_match_the_data(self, suite, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")
         desc = suite.dataset.descriptor  # 40 Hz, like the tiny segments
